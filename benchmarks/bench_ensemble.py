@@ -129,7 +129,7 @@ def print_record(record: dict) -> None:
               f"{row['max_abs_diff']:>10.2e}")
 
 
-# -- E2: eval-time kernel fusion (BN fold + arena) + zero-copy decode ----
+# -- E2: eval-time fast path (BN fold + staging arena) + zero-copy decode
 
 FUSION_NUM_NETS = 8
 FUSION_WIDTH = 32
@@ -201,11 +201,15 @@ def _time_tick(service, sessions, features: np.ndarray,
 
 
 def run_kernel_fusion_benchmark(repeats: int = 10) -> dict:
-    """Folded-fast-path vs unfolded tick latency + zero-copy decode rate.
+    """Fast-arm vs slow-arm tick latency + zero-copy decode rate.
 
     Both arms serve the same bodies and the same coalesced group
     (``FUSION_GROUP`` requests x ``FUSION_REQUEST_BATCH`` samples) at
     N = ``FUSION_NUM_NETS``; only ``fold_bn`` / ``fast_path`` differ.
+    The fast arm's tick gains come from the conv←BN fold and the staging
+    arena (the group is copied into one persistent buffer); zero-copy
+    decode is timed separately, on one big frame, because the tick arms
+    submit already-decoded arrays.
     The record also cross-checks the two arms' served feature maps
     (fold parity on the real serve path, ≤ 1e-5).
     """

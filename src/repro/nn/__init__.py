@@ -8,7 +8,7 @@ This subpackage replaces PyTorch for the reproduction: reverse-mode autograd
 
 from repro.nn import arena, functional, init, optim
 from repro.nn import batched
-from repro.nn.arena import TensorArena, active_arena, use_arena
+from repro.nn.arena import TensorArena
 from repro.nn.batched import StackedBodies, UnstackableError, stack_modules, unbind
 from repro.nn.modules import (
     AvgPool2d,
@@ -75,7 +75,6 @@ __all__ = [
     "Tensor",
     "UnstackableError",
     "UpsampleNearest2d",
-    "active_arena",
     "arena",
     "as_tensor",
     "batched",
@@ -89,7 +88,6 @@ __all__ = [
     "stack",
     "stack_modules",
     "unbind",
-    "use_arena",
     "where",
     "zeros",
 ]

@@ -1,27 +1,27 @@
-"""Tensor arena: reuse scratch buffers across fused serving passes.
+"""Tensor arena: reuse the serving tier's staging buffers across ticks.
 
-Every stacked serving tick re-allocates the same working set — the
-im2col column buffers, the padded-input canvases and the pre-transpose
-matmul scratch of :func:`repro.nn.batched.batched_conv2d`, plus the
-staging buffer the service copies coalesced uplink payloads into.  For
-the small-tensor regime this reproduction serves (Table-III split
-points), the allocator traffic is a measurable slice of tick latency.
-A :class:`TensorArena` keeps those buffers alive between ticks and hands
-them back by *slot*: a ``(tag, sequence)`` key in per-pass order for
-scratch the kernels request, or a bare named key for singleton staging
-buffers the service owns.
+A coalesced serving tick copies its requests' uplink payloads into one
+batch array (and, for speculative mixed-spatial groups, onto one
+zero-padded canvas).  A :class:`TensorArena` keeps those buffers alive
+between ticks and hands them back by name, so a steady stream of
+same-shaped groups never re-allocates them.
+
+The arena holds *only* these service-owned buffers.  Kernel scratch (pad
+canvases, im2col columns, GEMM products) is allocated fresh per call:
+the allocator hands a just-freed, cache-hot block back to the next
+layer, which measured faster than cycling through one pooled buffer per
+layer.  Conv activations are logically ``(E, N, C, H, W)`` but stored
+member-major with the batch innermost, ``(E, C, H, W, N)`` (see
+:mod:`repro.nn.batched`); none of that storage ever lives here.
 
 Safety model
 ------------
-Arena buffers are only handed to kernels while gradients are disabled
-(the kernels check :func:`repro.nn.tensor.is_grad_enabled` and the
-operands' ``requires_grad`` before asking), because backward closures
-capture the im2col columns — a reused buffer would corrupt a pending
-backward.  Kernels also never place an array that *escapes* the pass
-(layer outputs, response payloads) in the arena: only scratch that is
-provably consumed inside the op may live there, so a poisoned arena
-(:meth:`TensorArena.poison`, used by the differential tests) can never
-leak NaNs into served features.
+An arena buffer's contents are undefined when handed out: the owner
+overwrites every element it reads (the staging copy fills every row, the
+canvas is zero-filled before the requests are placed).  Nothing that
+escapes a tick — layer outputs, response payloads — aliases an arena
+buffer, so a poisoned arena (:meth:`TensorArena.poison`, used by the
+differential tests) can never leak NaNs into served features.
 
 Shape-keyed invalidation: a slot whose requested shape or dtype differs
 from the cached buffer is re-allocated on the spot, so a coalesce-key
@@ -31,82 +31,40 @@ falls back to fresh memory rather than serving a stale view.
 Usage::
 
     arena = TensorArena()
-    with use_arena(arena):          # resets per-pass slot counters
-        out = engine(features)      # kernels call arena.take(...)
+    staged = arena.take_named("uplink_staging", (n, c, h, w), np.float32)
 
-The context manager is re-entrant-safe (the previously active arena is
-restored on exit) but not thread-safe — the serving tier is a
-single-threaded tick loop by design.
+Not thread-safe — the serving tier is a single-threaded tick loop by
+design.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator
-
 import numpy as np
 
-__all__ = ["TensorArena", "use_arena", "active_arena"]
-
-#: module-global active arena; ``None`` means "allocate fresh" (the
-#: default for every code path outside a serving fast-path pass).
-_ACTIVE: "TensorArena | None" = None
+__all__ = ["TensorArena"]
 
 
 class TensorArena:
-    """A pool of reusable scratch buffers keyed by slot and shape.
+    """A pool of reusable staging buffers keyed by name and shape.
 
-    Two families of slots exist:
-
-    * :meth:`take` — per-pass *sequence* slots: the same tag may be
-      requested many times within one pass (one per conv layer, say);
-      each request within a pass gets its own distinct buffer, and the
-      per-tag sequence counter resets at :meth:`begin_pass`, so layer
-      ``i`` of this tick reuses exactly layer ``i``'s buffer of the
-      previous tick.
-    * :meth:`take_named` — singleton slots for buffers with one logical
-      owner per arena (the service's uplink staging buffer); no
-      sequence counter, just the name.
-
-    Both invalidate on shape or dtype mismatch: the old buffer is
-    dropped and a fresh one allocated (counted in ``misses``).
+    :meth:`take_named` returns the singleton buffer registered under a
+    name, re-allocating it (counted in ``misses``) when the requested
+    shape or dtype differs from the cached one.
     """
 
     def __init__(self):
-        self._buffers: dict[tuple, np.ndarray] = {}
-        self._counters: dict[str, int] = {}
+        self._buffers: dict[str, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
-    # -- slot lifecycle -------------------------------------------------
-
-    def begin_pass(self) -> None:
-        """Reset per-pass sequence counters (start of one fused pass)."""
-        self._counters.clear()
-
-    def take(self, tag: str, shape: tuple[int, ...],
-             dtype: np.dtype) -> np.ndarray:
-        """A scratch buffer for the next ``tag`` slot of this pass.
-
-        The buffer's contents are **undefined** — callers must overwrite
-        every element (the poisoning tests enforce exactly this).
-        """
-        seq = self._counters.get(tag, 0)
-        self._counters[tag] = seq + 1
-        return self._fetch(("seq", tag, seq), shape, dtype)
-
     def take_named(self, name: str, shape: tuple[int, ...],
                    dtype: np.dtype) -> np.ndarray:
-        """The singleton buffer registered under ``name`` (see class doc)."""
-        return self._fetch(("named", name), shape, dtype)
-
-    def _fetch(self, key: tuple, shape: tuple[int, ...],
-               dtype: np.dtype) -> np.ndarray:
+        """The buffer registered under ``name``; contents are undefined."""
         dtype = np.dtype(dtype)
-        buf = self._buffers.get(key)
+        buf = self._buffers.get(name)
         if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
             buf = np.empty(shape, dtype=dtype)
-            self._buffers[key] = buf
+            self._buffers[name] = buf
             self.misses += 1
         else:
             self.hits += 1
@@ -139,31 +97,6 @@ class TensorArena:
                 buf.fill(np.iinfo(buf.dtype).min)
 
     def clear(self) -> None:
-        """Drop every pooled buffer (and reset pass counters)."""
+        """Drop every pooled buffer and zero the hit/miss counters."""
         self._buffers.clear()
-        self._counters.clear()
-
-
-def active_arena() -> "TensorArena | None":
-    """The arena of the pass currently executing, or ``None``."""
-    return _ACTIVE
-
-
-@contextlib.contextmanager
-def use_arena(arena: "TensorArena | None") -> Iterator["TensorArena | None"]:
-    """Activate ``arena`` for the duration of one fused pass.
-
-    Entering resets the arena's per-pass slot counters; exiting restores
-    whichever arena (or ``None``) was active before.  Passing ``None``
-    is allowed and simply runs the body without an arena — callers can
-    thread an optional arena through unconditionally.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    if arena is not None:
-        arena.begin_pass()
-    _ACTIVE = arena
-    try:
-        yield arena
-    finally:
-        _ACTIVE = previous
+        self.hits = self.misses = 0

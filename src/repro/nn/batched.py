@@ -17,6 +17,17 @@ The first parametric layer then lowers the shared input once (one im2col)
 and applies one ``(E·out_c, C·kh·kw)`` matmul, after which activations are
 per-member.
 
+Those shapes are *logical*.  :func:`batched_conv2d` stores its output
+member-major with the batch innermost, ``(E, C, H, W, N)`` in memory, and
+returns the logical ``(E, N, C, H, W)`` as a transposed view.  Each
+member's GEMM then covers the whole batch (``H·W·N`` columns), the
+product needs no transpose copy, and im2col copies contiguous runs of at
+least ``N`` elements instead of one output row at a time.  Pointwise ops
+(ReLU, eval BN, residual adds) keep that layout; the next conv lowers
+from it directly, a 1x1/stride-1 conv with no copy at all.  Code that
+needs a C-contiguous array (the wire path) calls
+``np.ascontiguousarray``; everything else must not assume contiguity.
+
 Stacking
 --------
 :func:`stack_modules` compiles a list of architecturally identical modules
@@ -66,7 +77,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.nn import profiling
-from repro.nn.arena import active_arena
 from repro.nn.functional import _col2im, _im2col
 from repro.nn import functional as F
 from repro.nn.modules import (
@@ -125,50 +135,20 @@ def batched_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
     return out
 
 
-def _pad_spatial(x: np.ndarray, padding: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Zero-pad the trailing two (spatial) axes.
+def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the spatial axes 2 and 3 (NCHW, or member-major storage).
 
     Equivalent to ``np.pad`` but a plain alloc-and-assign: ``np.pad``'s
     generic machinery costs more Python time than a whole small conv layer
-    on the fused hot path.  ``out``, when given, is an arena-recycled
-    canvas of the padded shape whose contents are undefined: the border is
-    re-zeroed and the interior assigned, so every element is written no
-    matter what the previous pass (or a poisoning test) left behind.
+    on the fused hot path.  The result is C-contiguous whatever the
+    strides of ``x``.
     """
     if padding == 0:
         return x
-    shape = x.shape[:-2] + (x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding)
-    if out is None:
-        out = np.zeros(shape, dtype=x.dtype)
-        out[..., padding:-padding, padding:-padding] = x
-        return out
-    out[..., :padding, :] = 0
-    out[..., -padding:, :] = 0
-    out[..., padding:-padding, :padding] = 0
-    out[..., padding:-padding, -padding:] = 0
-    out[..., padding:-padding, padding:-padding] = x
+    a, c, h, w, *tail = x.shape
+    out = np.zeros((a, c, h + 2 * padding, w + 2 * padding, *tail), dtype=x.dtype)
+    out[:, :, padding:-padding, padding:-padding] = x
     return out
-
-
-def _conv_scratch(x: Tensor, weight: Tensor, bias: Tensor | None):
-    """The active arena, if gradients cannot be flowing through this op.
-
-    Backward closures capture the im2col column buffer, so scratch may
-    only be recycled when no closure will be wired — exactly the
-    condition :meth:`Tensor._make` uses to drop the backward function.
-    """
-    if is_grad_enabled() and (x.requires_grad or weight.requires_grad
-                              or (bias is not None and bias.requires_grad)):
-        return None
-    return active_arena()
-
-
-def _arena_pad(x: np.ndarray, padding: int, arena) -> np.ndarray:
-    if arena is None or padding == 0:
-        return _pad_spatial(x, padding)
-    shape = x.shape[:-2] + (x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding)
-    return _pad_spatial(x, padding, out=arena.take("pad", shape, x.dtype))
 
 
 def batched_conv2d(
@@ -180,20 +160,26 @@ def batched_conv2d(
 ) -> Tensor:
     """2-D convolution for E members in one fused pass.
 
-    ``weight`` is ``(E, out_c, in_c, kh, kw)``.  For a shared 4-D input the
-    image is lowered once and all E kernels apply as a single
-    ``(E·out_c, C·kh·kw)`` matmul; for a per-member 5-D input the lowering
-    runs over the folded ``E·N`` batch and a single batched matmul contracts
-    each member with its own kernel.  Output is ``(E, N, out_c, oh, ow)``.
+    ``weight`` is ``(E, out_c, in_c, kh, kw)``; the output is logically
+    ``(E, N, out_c, oh, ow)`` and stored member-major (see the module
+    docstring).  The input is lowered once, in member-major order, to
+    ``(G, C·kh·kw, L·N)`` columns (``L = oh·ow``) — ``G = 1`` for a
+    shared 4-D input, ``G = E`` for a per-member 5-D one — and each group
+    runs one GEMM over the whole batch: a shared input is a single
+    ``(E·out_c, K) @ (K, L·N)`` product, a per-member input E products
+    ``(out_c, K) @ (K, L·N)``.  The product already is the member-major
+    output, so it is returned as a transposed view, never copied.  One
+    path serves grad and no-grad passes; scratch is never pooled.
     """
     e, out_c, in_c, kh, kw = weight.shape
-    shared = x.ndim == 4
-    if shared:
+    if x.ndim == 4:
         n, c, h, w = x.shape
+        groups, storage = 1, x.data.transpose(1, 2, 3, 0)[None]
     elif x.ndim == 5:
         xe, n, c, h, w = x.shape
         if xe != e:
             raise ValueError(f"input carries {xe} members, weight has {e}")
+        groups, storage = e, x.data.transpose(0, 2, 3, 4, 1)
     else:
         raise ValueError(f"expected 4-D (shared) or 5-D input, got {x.shape}")
     if c != in_c:
@@ -202,48 +188,17 @@ def batched_conv2d(
     out_w = (w + 2 * padding - kw) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(f"convolution output would be empty for input {x.shape}")
-    k = in_c * kh * kw
-    length = out_h * out_w
-    hp, wp = h + 2 * padding, w + 2 * padding
 
-    # Arena-recycled scratch (pad canvas, im2col columns, pre-transpose
-    # matmul buffer) on the no-grad serving fast path.  Only buffers that
-    # are provably consumed inside this op go to the arena — the returned
-    # activation is always freshly allocated, so layer outputs (and the
-    # response payloads sliced from them) never alias pooled memory.
-    arena = _conv_scratch(x, weight, bias)
-    if shared:
-        x_pad = _arena_pad(x.data, padding, arena)
-        cols_out = (arena.take("cols", (n, k, length), x_pad.dtype)
-                    if arena is not None else None)
-        cols = _im2col(x_pad, kh, kw, stride, out=cols_out)  # (N, K, L)
-        w2 = weight.data.reshape(e * out_c, k)
-        mm_dtype = np.result_type(w2.dtype, cols.dtype)
-        mm_out = (arena.take("mm", (n, e * out_c, length), mm_dtype)
-                  if arena is not None else None)
-        out = np.matmul(w2[None, :, :], cols, out=mm_out)  # (N, E*out_c, L)
-        out = np.ascontiguousarray(
-            out.reshape(n, e, out_c, out_h, out_w).transpose(1, 0, 2, 3, 4)
-        )
-    else:
-        x_pad = _arena_pad(x.data, padding, arena)
-        cols_out = (arena.take("cols", (e * n, k, length), x_pad.dtype)
-                    if arena is not None else None)
-        cols = _im2col(x_pad.reshape(e * n, c, hp, wp), kh, kw, stride,
-                       out=cols_out)
-        cols = cols.reshape(e, n, k, length)
-        w2 = weight.data.reshape(e, out_c, k)
-        # The matmul result *is* the layer output here (the reshape below
-        # is a view), so it must not come from the arena.
-        out = np.matmul(w2[:, None, :, :], cols).reshape(e, n, out_c, out_h, out_w)
+    cols = _im2col(_pad_spatial(storage, padding), kh, kw, stride)  # (G, K, L·N)
+    w2 = weight.data.reshape(groups, e * out_c // groups, in_c * kh * kw)
+    out = np.matmul(w2, cols).reshape(e, out_c, out_h, out_w, n)
     profiling.record("conv2d", 2 * e * n * out_c * out_h * out_w * in_c * kh * kw)
     if bias is not None:
-        # ``out`` is freshly materialised just above (contiguous copy on
-        # the shared path, matmul product on the 5-D path), so the bias
-        # lands in place — no extra full-tensor temporary.  This keeps a
-        # folded conv←BN pair cheaper than the BN it replaced even for
-        # originally bias-free convolutions.
-        out += bias.data.reshape(e, 1, out_c, 1, 1)
+        # ``out`` is the fresh GEMM product, so the bias lands in place —
+        # no extra full-tensor temporary.  This keeps a folded conv←BN
+        # pair cheaper than the BN it replaced even for originally
+        # bias-free convolutions.
+        out += bias.data.reshape(e, out_c, 1, 1, 1)
         profiling.record("bias", e * n * out_c * out_h * out_w)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -251,37 +206,17 @@ def batched_conv2d(
     def backward(g: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 3, 4)))
-        if shared:
-            g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3, 4)).reshape(
-                n, e * out_c, length
-            )
-            if weight.requires_grad:
-                dw = np.einsum("nol,nkl->ok", g2, cols, optimize=True)
-                weight._accumulate(dw.reshape(weight.shape))
-            if x.requires_grad:
-                dcols = np.matmul(w2.T[None, :, :], g2)  # (N, K, L)
-                x._accumulate(
-                    _col2im(dcols, x.shape, kh, kw, stride, padding, out_h, out_w)
-                )
-        else:
-            g2 = g.reshape(e, n, out_c, length)
-            if weight.requires_grad:
-                # (E·N, O, L) x (E·N, L, K) batched GEMM, then reduce the
-                # batch axis: ~2x faster than the equivalent einsum, which
-                # falls off the fast BLAS path for this contraction.
-                dw = np.matmul(g2.reshape(e * n, out_c, length),
-                               cols.reshape(e * n, k, length).transpose(0, 2, 1))
-                dw = dw.reshape(e, n, out_c, k).sum(axis=1)
-                weight._accumulate(dw.reshape(weight.shape))
-            if x.requires_grad:
-                dcols = np.matmul(w2.transpose(0, 2, 1)[:, None, :, :], g2)
-                dx = _col2im(
-                    dcols.reshape(e * n, k, length), (e * n, c, h, w),
-                    kh, kw, stride, padding, out_h, out_w,
-                )
-                x._accumulate(dx.reshape(e, n, c, h, w))
+        g2 = g.transpose(0, 2, 3, 4, 1).reshape(groups, -1, cols.shape[-1])
+        if weight.requires_grad:
+            dw = np.matmul(g2, cols.transpose(0, 2, 1))  # (G, E·O/G, K)
+            weight._accumulate(dw.reshape(weight.shape))
+        if x.requires_grad:
+            dcols = np.matmul(w2.transpose(0, 2, 1), g2)  # (G, K, L·N)
+            dx = _col2im(dcols, (groups, c, h, w, n), kh, kw, stride,
+                         padding, out_h, out_w).transpose(0, 4, 1, 2, 3)
+            x._accumulate(dx[0] if x.ndim == 4 else dx)
 
-    return Tensor._make(out, parents, backward)
+    return Tensor._make(out.transpose(0, 4, 1, 2, 3), parents, backward)
 
 
 def batched_conv_transpose2d(
@@ -344,9 +279,8 @@ def batched_conv_transpose2d(
     def backward(g: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 3, 4)))
-        g_pad = _pad_spatial(g, padding)
-        gcols = _im2col(g_pad.reshape(e * n, out_c, *g_pad.shape[-2:]),
-                        kh, kw, stride).reshape(e, n, k, length)
+        g_pad = _pad_spatial(g.reshape(e * n, out_c, out_h, out_w), padding)
+        gcols = _im2col(g_pad, kh, kw, stride).reshape(e, n, k, length)
         if weight.requires_grad:
             if shared:
                 dw = np.einsum("ncl,enkl->eck", x_flat, gcols, optimize=True)

@@ -18,37 +18,32 @@ from repro.nn.tensor import Tensor, concat  # noqa: F401  (concat re-exported)
 # ----------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Lower padded NCHW input to column form ``(N, C*kh*kw, out_h*out_w)``.
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Lower padded input ``(A, C, H, W, *T)`` to columns ``(A, C*kh*kw, L*T)``.
 
-    ``out``, when given, receives the columns — an arena-recycled
-    ``(N, C*kh*kw, L)`` buffer on the serving fast path — instead of the
-    fresh array the strided-view reshape would otherwise materialise.
-    Every element of ``out`` is overwritten.
+    Plain NCHW input (no trailing ``T`` axes) gives the classic
+    ``(N, C*kh*kw, out_h*out_w)``.  Trailing axes fold into the column
+    count, innermost: the member-major ``(E, C, H, W, N)`` storage of
+    :func:`repro.nn.batched.batched_conv2d` lowers to
+    ``(E, C*kh*kw, out_h*out_w*N)`` — one GEMM operand per member over the
+    whole batch, copied in contiguous runs of at least ``N`` elements.
     """
-    n, c, h, w = x.shape
+    a, c, h, w, *tail = x.shape
     out_h = (h - kh) // stride + 1
     out_w = (w - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
+    s_a, s_c, s_h, s_w, *s_tail = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        shape=(a, c, kh, kw, out_h, out_w, *tail),
+        strides=(s_a, s_c, s_h, s_w, s_h * stride, s_w * stride, *s_tail),
         writeable=False,
     )
-    if out is not None:
-        # The (contiguous) column buffer viewed 6-D is assignment-
-        # compatible with the strided windows: one fused copy, no
-        # intermediate allocation.
-        np.copyto(out.reshape(n, c, kh, kw, out_h, out_w), windows)
-        return out
-    return windows.reshape(n, c * kh * kw, out_h * out_w)
+    return windows.reshape(a, c * kh * kw, -1)
 
 
 def _col2im(
     cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
+    x_shape: tuple[int, ...],
     kh: int,
     kw: int,
     stride: int,
@@ -56,16 +51,17 @@ def _col2im(
     out_h: int,
     out_w: int,
 ) -> np.ndarray:
-    """Scatter-add column gradients back to input layout (inverse of im2col)."""
-    n, c, h, w = x_shape
+    """Scatter-add columns back to input layout ``(A, C, H, W, *T)``
+    (inverse of :func:`_im2col`, trailing axes included)."""
+    a, c, h, w, *tail = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    x_pad = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
+    x_pad = np.zeros((a, c, hp, wp, *tail), dtype=cols.dtype)
+    cols_nd = cols.reshape(a, c, kh, kw, out_h, out_w, *tail)
     for i in range(kh):
         i_end = i + stride * out_h
         for j in range(kw):
             j_end = j + stride * out_w
-            x_pad[:, :, i:i_end:stride, j:j_end:stride] += cols6[:, :, i, j]
+            x_pad[:, :, i:i_end:stride, j:j_end:stride] += cols_nd[:, :, i, j]
     if padding:
         return x_pad[:, :, padding:-padding, padding:-padding]
     return x_pad

@@ -77,7 +77,7 @@ import numpy as np
 
 from repro.ci.channel import Channel, TransferStats
 from repro.ci.pipeline import Client, Server
-from repro.nn.arena import TensorArena, use_arena
+from repro.nn.arena import TensorArena
 from repro.serving.errors import (
     BackpressureError,
     PrivacyExhaustedError,
@@ -234,7 +234,7 @@ class ServingConfig:
 
     ``fast_path`` enables the eval-time serving optimisations: the
     service owns a :class:`~repro.nn.arena.TensorArena` whose buffers
-    (im2col columns, pad canvases, the uplink staging buffer) persist
+    (the uplink staging buffer and the speculative canvas) persist
     across ticks, group batches are staged into that arena instead of
     ``np.concatenate``-ing fresh memory, and :meth:`InferenceService.\
 submit_bytes` decodes wire frames zero-copy.  Served bytes are
@@ -387,8 +387,8 @@ class InferenceService:
                                     fast_path=fast_path,
                                     speculative=speculative)
         self.server = server
-        #: the per-service scratch arena (``None`` with the fast path
-        #: off): im2col / pad / staging buffers persist across ticks.
+        #: the per-service staging arena (``None`` with the fast path
+        #: off): uplink staging / canvas buffers persist across ticks.
         self.arena = TensorArena() if fast_path else None
         self.faults = faults
         self.overload = (OverloadController(overload)
@@ -830,17 +830,6 @@ class InferenceService:
 
     # -- fused-pass fast path -------------------------------------------
 
-    def _server_pass(self, batch: np.ndarray,
-                     num_bodies: int) -> list[np.ndarray]:
-        """One stacked forward with this service's arena active.
-
-        The arena only lends *scratch* (im2col columns, pad canvases —
-        see :mod:`repro.nn.arena`); the returned feature maps are always
-        fresh memory, so responses may outlive any number of later ticks.
-        """
-        with use_arena(self.arena):
-            return self.server.compute(batch, num_bodies=num_bodies)
-
     def _stage_batch(self, group: list[UploadRequest]) -> np.ndarray:
         """Assemble one shape-homogeneous group into a batch array.
 
@@ -889,7 +878,8 @@ class InferenceService:
         ``_fail_tick`` recovery.
         """
         if len({r.coalesce_key for r in group}) == 1:
-            outputs = self._server_pass(self._stage_batch(group), num_bodies)
+            outputs = self.server.compute(self._stage_batch(group),
+                                          num_bodies=num_bodies)
             return self._split_outputs(outputs, group)
         if (self.server.padding_safe
                 and all(r.features.ndim == 4 for r in group)):
@@ -923,7 +913,7 @@ class InferenceService:
             n, _, h, w = feat.shape
             canvas[offset:offset + n, :, :h, :w] = feat
             offset += n
-        outputs = self._server_pass(canvas, num_bodies)
+        outputs = self.server.compute(canvas, num_bodies=num_bodies)
         per_request = []
         offset = 0
         for request in group:
@@ -948,7 +938,8 @@ class InferenceService:
         per_request: list[list[np.ndarray] | None] = [None] * len(group)
         for indices in buckets.values():
             sub = [group[i] for i in indices]
-            outputs = self._server_pass(self._stage_batch(sub), num_bodies)
+            outputs = self.server.compute(self._stage_batch(sub),
+                                          num_bodies=num_bodies)
             for outs, i in zip(self._split_outputs(outputs, sub), indices):
                 per_request[i] = outs
         return per_request

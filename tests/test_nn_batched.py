@@ -71,19 +71,48 @@ class TestBatchedOps:
         for i, lin in enumerate(linears):
             np.testing.assert_allclose(out.data[i], lin(Tensor(xs[i])).data, atol=1e-6)
 
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10_000), members=st.integers(1, 6))
-    def test_batched_conv2d_matches_loop(self, seed, members):
-        """Property: the fused conv equals E independent convs, any E."""
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), members=st.integers(1, 6),
+           kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+           padding=st.sampled_from([0, 1]), batch=st.integers(1, 5),
+           shared=st.booleans(), member_major=st.booleans())
+    def test_batched_conv2d_matches_loop(self, seed, members, kernel, stride,
+                                         padding, batch, shared, member_major):
+        """Property: the fused conv equals E independent convs — output and
+        the input, weight and bias gradients — for any geometry, a shared
+        or per-member input, and a contiguous or member-major input."""
         local = np.random.default_rng(seed)
-        convs = [nn.Conv2d(3, 5, 3, padding=1, rng=new_rng(seed + i))
-                 for i in range(members)]
+        convs = [nn.Conv2d(3, 5, kernel, stride=stride, padding=padding,
+                           rng=new_rng(seed + i)) for i in range(members)]
         stacked = stack_modules(convs)
-        x = Tensor(local.random((2, 3, 6, 6)).astype(np.float32))
+        shape = (batch, 3, 6, 6) if shared else (members, batch, 3, 6, 6)
+        data = local.standard_normal(shape).astype(np.float32)
+        if member_major:
+            # The storage batched_conv2d emits: batch axis innermost.
+            data = np.moveaxis(np.ascontiguousarray(np.moveaxis(data, -4, -1)),
+                               -1, -4)
+        x = Tensor(data, requires_grad=True)
         out = stacked(x)
-        assert out.shape == (members, 2, 5, 6, 6)
+        side = (6 + 2 * padding - kernel) // stride + 1
+        assert out.shape == (members, batch, 5, side, side)
+        upstream = local.standard_normal(out.shape).astype(np.float32)
+        (out * Tensor(upstream)).sum().backward()
+
+        x_grad = np.zeros_like(data)
         for i, conv in enumerate(convs):
-            np.testing.assert_allclose(out.data[i], conv(x).data, atol=1e-5)
+            xi = Tensor(data if shared else data[i], requires_grad=True)
+            ref = conv(xi)
+            np.testing.assert_allclose(out.data[i], ref.data, atol=1e-5)
+            (ref * Tensor(upstream[i])).sum().backward()
+            np.testing.assert_allclose(stacked.weight.grad[i], conv.weight.grad,
+                                       rtol=1e-4, atol=1e-4)
+            np.testing.assert_allclose(stacked.bias.grad[i], conv.bias.grad,
+                                       rtol=1e-4, atol=1e-4)
+            if shared:
+                x_grad += xi.grad
+            else:
+                x_grad[i] = xi.grad
+        np.testing.assert_allclose(x.grad, x_grad, rtol=1e-4, atol=1e-4)
 
     def test_batched_conv2d_per_member_input(self):
         convs = [nn.Conv2d(3, 4, 3, stride=2, padding=1, rng=new_rng(i))
