@@ -1,19 +1,26 @@
 """Tests for the event-driven serving simulation (virtual clock, SLOs)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.ci import Server
 from repro.ci.pipeline import Client
+from repro.core.selector import Selector
 from repro.latency.model import LatencyModel, SplitWorkload
 from repro.models.resnet import ResNet, ResNetConfig
 from repro.serving import (
     Arrival,
     DeadlineScheduler,
+    FaultInjector,
+    FaultPlan,
     InferenceService,
+    RetryPolicy,
     TickCost,
     bursty_trace,
+    diurnal_trace,
     poisson_trace,
     simulate,
 )
@@ -262,3 +269,176 @@ class TestStreamingReports:
         assert histogram.percentile(50) == pytest.approx(report.p50_s)
         # The service's stat fields arrive as gauges.
         assert registry.gauge("service.served_requests").value == 200
+
+
+class TestReplayGolden:
+    """Exact replay outcomes, pinned.
+
+    The tests above assert approximately or relationally; these pin
+    every count, the exact p50/p99 and a digest of the per-request
+    latency list of a few fixed replays, so any rewrite of the event
+    loop must reproduce each replay bit for bit.
+    """
+
+    COST = TickCost(pass_overhead_s=0.010, per_sample_s=0.001,
+                    per_request_downlink_s=0.0005)
+
+    @staticmethod
+    def observe(report):
+        latencies = np.asarray(report.latencies_s, dtype=np.float64)
+        return {
+            "ticks": report.ticks,
+            "makespan_s": report.makespan_s,
+            "submitted": report.submitted,
+            "served": report.served,
+            "terminal_counts": report.terminal_counts,
+            "violations": report.violations,
+            "retries": report.retries,
+            "tick_failures": report.tick_failures,
+            "degraded": report.degraded,
+            "privacy_refusals": report.privacy_refusals,
+            "rotations": report.rotations,
+            "p50_s": report.p50_s,
+            "p99_s": report.p99_s,
+            "latencies": hashlib.sha256(latencies.tobytes()).hexdigest()[:16],
+        }
+
+    def replay(self, service, sessions, trace, **kwargs):
+        return self.observe(simulate(service, sessions, trace, self.COST,
+                                     default_features=FEATURES, **kwargs))
+
+    def test_drop_and_corrupt_faults_with_retry_timeout(self):
+        faults = FaultInjector(FaultPlan(corrupt_rate=0.1, drop_rate=0.1),
+                               seed=4)
+        service = InferenceService(Server(tiny_bodies()), max_batch=4,
+                                   max_queue=64, faults=faults)
+        sessions = [service.adopt_session(Client(nn.Identity(), nn.Identity()))
+                    for _ in range(4)]
+        trace = bursty_trace(num_sessions=4, bursts=3, burst_size=8,
+                             burst_gap_s=0.05)
+        retry = RetryPolicy(max_attempts=4, base_delay_s=0.002,
+                            timeout_s=0.03)
+        assert self.replay(service, sessions, trace, retry=retry) == {
+            "ticks": 9, "makespan_s": 0.14150000000000001, "submitted": 24,
+            "served": 24,
+            "terminal_counts": {"completed": 24, "expired": 0, "cancelled": 0,
+                                "rejected": 0, "throttled": 0, "failed": 0},
+            "violations": 0, "retries": 4, "tick_failures": 0, "degraded": 0,
+            "privacy_refusals": 0, "rotations": 0,
+            "p50_s": 0.020999999999999998, "p99_s": 0.04150000000000001,
+            "latencies": "310669388a2927f5",
+        }
+
+    def test_injected_tick_crash(self):
+        faults = FaultInjector(FaultPlan(tick_failures_at=(1, 2)))
+        service = InferenceService(Server(tiny_bodies()), max_batch=4,
+                                   max_queue=64, faults=faults,
+                                   tick_retries=1)
+        sessions = [service.adopt_session(Client(nn.Identity(), nn.Identity()))
+                    for _ in range(4)]
+        trace = bursty_trace(num_sessions=4, bursts=2, burst_size=8,
+                             burst_gap_s=0.1)
+        assert self.replay(service, sessions, trace) == {
+            "ticks": 3, "makespan_s": 0.1285, "submitted": 16, "served": 12,
+            "terminal_counts": {"completed": 12, "expired": 0, "cancelled": 0,
+                                "rejected": 0, "throttled": 0, "failed": 4},
+            "violations": 0, "retries": 0, "tick_failures": 2, "degraded": 0,
+            "privacy_refusals": 0, "rotations": 0, "p50_s": 0.0145,
+            "p99_s": 0.028499999999999998, "latencies": "9f653202fc9164b3",
+        }
+
+    def test_mid_burst_close_session(self):
+        service, sessions = make_service("fifo", num_sessions=3)
+        trace = bursty_trace(num_sessions=3, bursts=2, burst_size=6,
+                             burst_gap_s=0.1)
+        trace.append(Arrival(time=0.0, session_index=0, close_session=True))
+        assert self.replay(service, sessions, trace) == {
+            "ticks": 2, "makespan_s": 0.1145, "submitted": 12, "served": 8,
+            "terminal_counts": {"completed": 8, "expired": 0, "cancelled": 2,
+                                "rejected": 0, "throttled": 0, "failed": 2},
+            "violations": 0, "retries": 0, "tick_failures": 0, "degraded": 0,
+            "privacy_refusals": 0, "rotations": 0,
+            "p50_s": 0.014499999999999999, "p99_s": 0.0145,
+            "latencies": "5c1fbcb2dea5c1ea",
+        }
+
+    def test_deadline_scheduler_with_deadlines(self):
+        scheduler = DeadlineScheduler(pass_overhead_s=0.010,
+                                      sample_cost_s=0.001,
+                                      max_group_samples=16)
+        service, sessions = make_service(scheduler)
+        trace = bursty_trace(num_sessions=4, bursts=3, burst_size=16,
+                             burst_gap_s=0.08, deadline_s=0.03,
+                             jitter_s=0.01, rng=np.random.default_rng(5))
+        assert self.replay(service, sessions, trace) == {
+            "ticks": 15, "makespan_s": 0.22448939490963135, "submitted": 48,
+            "served": 48,
+            "terminal_counts": {"completed": 48, "expired": 0, "cancelled": 0,
+                                "rejected": 0, "throttled": 0, "failed": 0},
+            "violations": 15, "retries": 0, "tick_failures": 0, "degraded": 0,
+            "privacy_refusals": 0, "rotations": 0,
+            "p50_s": 0.028461041197487796, "p99_s": 0.07057224079007059,
+            "latencies": "87b065d2e6f96d57",
+        }
+
+    def test_privacy_metered_rotating_sessions(self):
+        service = InferenceService(Server(tiny_bodies()), max_batch=2,
+                                   max_queue=64)
+        sessions = [
+            service.adopt_session(
+                Client(nn.Identity(), nn.Identity(),
+                       selector=Selector.random(2, 1, rng=new_rng(seed))),
+                privacy=(2.0, 1000.0, 3), rotation="per_query")
+            for seed in range(2)]
+        trace = [Arrival(time=0.002 * i, session_index=i % 2, deadline_s=1.0)
+                 for i in range(12)]
+        assert self.replay(service, sessions, trace) == {
+            "ticks": 4, "makespan_s": 0.0465, "submitted": 12, "served": 6,
+            "terminal_counts": {"completed": 6, "expired": 0, "cancelled": 5,
+                                "rejected": 1, "throttled": 0, "failed": 0},
+            "violations": 0, "retries": 0, "tick_failures": 0, "degraded": 0,
+            "privacy_refusals": 1, "rotations": 4, "p50_s": 0.0245,
+            "p99_s": 0.03615, "latencies": "a3cac5bfe3e7597d",
+        }
+
+    def test_streamed_generator_trace(self):
+        service, sessions = make_service("fifo")
+        trace = diurnal_trace(num_sessions=4, num_requests=300,
+                              base_rate_hz=200.0, period_s=0.5, seed=3,
+                              deadline_s=0.05)
+        assert self.replay(service, sessions, trace) == {
+            "ticks": 66, "makespan_s": 0.9162013702974422, "submitted": 300,
+            "served": 252,
+            "terminal_counts": {"completed": 252, "expired": 0, "cancelled": 0,
+                                "rejected": 48, "throttled": 0, "failed": 0},
+            "violations": 211, "retries": 0, "tick_failures": 0, "degraded": 0,
+            "privacy_refusals": 0, "rotations": 0,
+            "p50_s": 0.20136243414396215, "p99_s": 0.2380130536110564,
+            "latencies": "e3b0c44298fc1c14",
+        }
+
+    def test_two_replays_on_one_service(self):
+        service, sessions = make_service("fifo", max_batch=2)
+        trace = poisson_trace(num_sessions=4, num_requests=40, rate_hz=300.0,
+                              deadline_s=0.02, rng=np.random.default_rng(9))
+        first = self.replay(service, sessions, trace)
+        second = self.replay(service, sessions, trace)
+        assert first == {
+            "ticks": 21, "makespan_s": 0.261463025242445, "submitted": 40,
+            "served": 40,
+            "terminal_counts": {"completed": 40, "expired": 0, "cancelled": 0,
+                                "rejected": 0, "throttled": 0, "failed": 0},
+            "violations": 38, "retries": 0, "tick_failures": 0, "degraded": 0,
+            "privacy_refusals": 0, "rotations": 0, "p50_s": 0.0563771965821665,
+            "p99_s": 0.12070929069251121, "latencies": "6b50b89239091c06",
+        }
+        assert second == {
+            "ticks": 21, "makespan_s": 0.261463025242445, "submitted": 40,
+            "served": 40,
+            "terminal_counts": {"completed": 40, "expired": 0, "cancelled": 0,
+                                "rejected": 0, "throttled": 0, "failed": 0},
+            "violations": 38, "retries": 0, "tick_failures": 0, "degraded": 0,
+            "privacy_refusals": 0, "rotations": 0,
+            "p50_s": 0.05637719658216661, "p99_s": 0.12070929069251127,
+            "latencies": "8af0f479a419dcbb",
+        }
