@@ -28,12 +28,12 @@ forward, so K waiting requests cost one fused pass instead of K.
 * :mod:`repro.serving.overload` — the graceful-degradation ladder
   (:class:`OverloadController`): shed best-effort tenants, narrow the
   downlink codec, shrink the served ensemble — with hysteresis;
-* :mod:`repro.serving.simulate` — an event-driven virtual-clock front-end
-  replaying arrival-time traces (with faults, retries and mid-trace
-  disconnects) and reporting latency percentiles, SLO violations and
-  per-replay request conservation — plus :func:`simulate_fleet`, the
-  same loop at fleet scope (per-replica busy clocks, heartbeat events,
-  mid-trace replica kills, zero-duplicate-serve accounting);
+* :mod:`repro.serving.simulate` — one event-driven virtual-clock loop,
+  :func:`simulate_fleet`, replaying arrival-time traces (with faults,
+  retries and mid-trace disconnects; per-replica busy clocks, heartbeat
+  events, mid-trace replica kills, zero-duplicate-serve accounting) and
+  reporting latency percentiles, SLO violations and per-replay request
+  conservation — :func:`simulate` runs it over one service;
 * :mod:`repro.serving.fleet` — the replicated tier: a
   :class:`ServiceFleet` of hardened replicas behind a consistent-hash
   :class:`HashRing` (sticky session routing, ~1/N failover blast

@@ -2,13 +2,18 @@
 
 ``run_until_idle`` answers "what does this request stream *compute*";
 this module answers "what does it *feel like*": a virtual-clock event
-loop replays an arrival-time trace through a real
-:class:`~repro.serving.service.InferenceService` (real scheduler, real
-stacked passes, real byte accounting) while charging virtual time from a
-cost model, and reports p50/p95/p99 latency plus SLO violations.
+loop replays an arrival-time trace through real
+:class:`~repro.serving.service.InferenceService` replicas (real
+scheduler, real stacked passes, real byte accounting) while charging
+virtual time from a cost model, and reports p50/p95/p99 latency plus
+SLO violations.
 
-Tick triggering is **deadline-aware** rather than drain-the-queue: the
-next tick fires at ``max(server_free_at, scheduler.next_event_time(t))``,
+There is **one** event loop, :func:`simulate_fleet`, which replays a
+:class:`~repro.serving.fleet.ServiceFleet`; :func:`simulate` runs it
+over a one-replica view of a single service, with no heartbeats.
+
+Tick triggering is **deadline-aware** rather than drain-the-queue: a
+replica's next tick fires at ``max(free_at, scheduler.next_event_time(t))``,
 so a :class:`~repro.serving.scheduler.DeadlineScheduler` can hold the
 server idle for a few (virtual) milliseconds to let a burst coalesce into
 one wide pass, while a FIFO scheduler (whose ``next_event_time`` is
@@ -23,11 +28,11 @@ downlink bytes of fp16 sessions.
 Fault-tolerant replay
 ---------------------
 The loop is a real event queue (heap), not just a sorted arrival scan,
-because fault tolerance adds *client-side* events between arrivals:
+because fault tolerance adds events between arrivals:
 
-* a :class:`~repro.serving.faults.FaultInjector` (the service's own, or
-  one passed explicitly) delays submissions and stalls sessions — time
-  effects the service never observes;
+* a :class:`~repro.serving.faults.FaultInjector` (the service's or
+  fleet's own, or one passed explicitly) delays submissions and stalls
+  sessions — time effects the service never observes;
 * a :class:`~repro.serving.faults.RetryPolicy` schedules backoff
   resubmissions after transient :class:`~repro.serving.errors.ServingError`
   failures, and — when ``timeout_s`` is set — resubmits requests whose
@@ -37,7 +42,10 @@ because fault tolerance adds *client-side* events between arrivals:
   mid-trace, cancelling that tenant's queued work;
 * a tick that crashes (injected or real) still occupies the server for
   the attempted pass cost, and its group rides the service's re-queue /
-  terminal-``FAILED`` recovery.
+  terminal-``FAILED`` recovery;
+* in fleet replays only: heartbeats, the fault plan's
+  :class:`~repro.serving.faults.ReplicaFault` schedule and autoscaler
+  checks.
 
 Every replay ends with a **conservation sweep**: each submission the
 trace produced must sit in exactly one typed terminal
@@ -62,6 +70,7 @@ from repro.serving.errors import (
     ServingError,
 )
 from repro.serving.faults import FaultInjector, RetryPolicy
+from repro.serving.fleet import FleetStats, HashRing, ReplicaHandle
 from repro.serving.service import InferenceService
 from repro.serving.session import Session
 from repro.telemetry import QuantileSketch
@@ -285,40 +294,44 @@ class _Pending:
     done: bool = False   # a response reached the client
 
 
-#: Event kinds, tie-break order.  _SCALE is the autoscaler's periodic
-#: control-loop check in :func:`simulate_fleet`.
-_ARRIVAL, _SUBMIT, _TIMEOUT, _FAULT, _SCALE = 0, 1, 2, 3, 4
+#: Heap event kinds (equal times pop in push order).  _SCALE is the
+#: autoscaler's periodic control-loop check.
+_SUBMIT, _TIMEOUT, _FAULT, _SCALE = range(4)
 
 
-def _prepare_trace(trace, retain_latencies):
-    """Resolve a trace into a lazy arrival iterator plus the retain flag.
+class _SoloFleet:
+    """One service behind the fleet surface :func:`simulate_fleet` reads.
 
-    List/tuple traces are sorted eagerly (back-compat: arbitrary order
-    allowed) and default to exact latency retention; any other iterable
-    streams lazily — arrivals must then already be time-monotonic — and
-    defaults to sketch-only reporting, since a streaming trace is
-    exactly the fleet-scale case the exact lists would sink.
+    Not a real :class:`~repro.serving.fleet.ServiceFleet`, whose pump
+    would cap the service's overload ladder on fleet pressure and whose
+    clock starts at 0 rather than at ``service.now``.
     """
-    if isinstance(trace, (list, tuple)):
-        arrivals = iter(sorted(trace, key=lambda a: a.time))
-        retain = True if retain_latencies is None else bool(retain_latencies)
-    else:
-        arrivals = iter(trace)
-        retain = False if retain_latencies is None else bool(retain_latencies)
-    return arrivals, retain
 
+    replica_ids = (0,)
 
-def _publish_metrics(metrics, prefix, tracked_count, served_total,
-                     violations, retry_attempts, sketch, latency_sum):
-    """Publish one replay's aggregates into a MetricsRegistry."""
-    metrics.counter(f"{prefix}.submitted").inc(tracked_count)
-    metrics.counter(f"{prefix}.served").inc(served_total)
-    metrics.counter(f"{prefix}.violations").inc(violations)
-    metrics.counter(f"{prefix}.retries").inc(retry_attempts)
-    histogram = metrics.histogram(f"{prefix}.latency_s",
-                                  capacity=sketch.capacity)
-    histogram.sketch.merge(sketch)
-    histogram.sum += latency_sum
+    def __init__(self, service: InferenceService):
+        self.service = service
+        self.replicas = (service,)
+        self.faults = service.faults
+        self.stats = service.stats
+        self.advance_clock = service.advance_clock
+        self.close_session = service.close_session
+        self._handle = ReplicaHandle(0, service)  # tickable, cost factor 1
+        self.ring = HashRing()
+        self.ring.add(0)
+        self.fleet_stats = FleetStats()
+        self.health_log: list[tuple[float, int, str]] = []
+        self.migration_epsilon_log: list[tuple[int, float, float]] = []
+
+    @property
+    def now(self) -> float:
+        return self.service.now
+
+    def handle(self, replica_id: int) -> ReplicaHandle:
+        return self._handle
+
+    def next_heartbeat_time(self) -> float:
+        return math.inf  # no heartbeats: one replica is never failed over
 
 
 def simulate(service: InferenceService, sessions, trace, cost: TickCost,
@@ -334,7 +347,8 @@ def simulate(service: InferenceService, sessions, trace, cost: TickCost,
     submits (framed bytes, backpressure, scheduler admission); every tick
     really runs the stacked pass; only *time* is virtual, charged from
     ``cost``.  Responses are consumed as they complete so long traces
-    stay memory-bounded.
+    stay memory-bounded.  It is :func:`simulate_fleet`'s event loop
+    over a one-replica view of ``service``.
 
     ``trace`` may be a list/tuple (sorted eagerly, any order — the
     historical contract) or any iterable/generator of
@@ -345,7 +359,8 @@ def simulate(service: InferenceService, sessions, trace, cost: TickCost,
     streamed ones); the mergeable quantile sketches are always fed.
     ``metrics``, when given, receives the replay's aggregate counters
     and latency histogram (see :class:`~repro.telemetry.MetricsRegistry`)
-    plus the service's stat fields as gauges.
+    plus the service's stat fields as gauges — and, as for any fleet
+    replay, zero-valued ``fleet.*`` gauges and ``fleet.ring_replicas=1``.
 
     Trace times are *relative*: they are rebased onto the service's
     current (monotonic, never-rewinding) clock, so repeated ``simulate``
@@ -360,218 +375,26 @@ def simulate(service: InferenceService, sessions, trace, cost: TickCost,
     request id, so the service deduplicates a retry whose earlier
     attempt actually survived.  The replay ends with a conservation
     sweep (see the module docstring).
+
+    Raises:
+        ValueError: the fault plan schedules replica-level faults
+            (``FaultPlan.replica_faults``), which only a fleet replay
+            (:func:`simulate_fleet`) can apply; an arrival carries no
+            features and no ``default_features`` was given; or a
+            streamed trace goes back in time.
     """
     faults = faults if faults is not None else service.faults
-    session_by_id = {s.session_id: s for s in sessions}
-    arrivals, retain = _prepare_trace(trace, retain_latencies)
-    latencies: list[float] = []
-    by_session: dict[int, list[float]] = {}
-    sketch = QuantileSketch()
-    by_sketch: dict[int, QuantileSketch] = {}
-    served_total = 0
-    latency_sum = 0.0
-    tracked: list[_Pending] = []
-    by_key: dict[tuple[int, int], _Pending] = {}
-    violations = ticks = retry_attempts = 0
-    failures_start = service.stats.tick_failures
-    degraded_start = service.stats.degraded_responses
-    refusals_start = service.stats.privacy_refusals
-    exhausted_start = service.stats.privacy_exhausted_sessions
-    rotations_start = service.stats.selector_rotations
-    base = service.now  # rebase the trace's epoch; advance_clock never rewinds
-    server_free_at = base
-    makespan = base
-    clock = base
-
-    seq = itertools.count()
-    heap: list[tuple[float, int, int, object]] = []
-    next_arrival = next(arrivals, None)
-
-    def pull_arrival() -> Arrival:
-        """Consume the head arrival, enforcing stream monotonicity."""
-        nonlocal next_arrival
-        arrival = next_arrival
-        next_arrival = next(arrivals, None)
-        if next_arrival is not None and next_arrival.time < arrival.time:
-            raise ValueError(
-                "streaming traces must yield non-decreasing arrival times "
-                f"(got {next_arrival.time} after {arrival.time}); "
-                "materialise as a list to have the simulator sort")
-        return arrival
-
-    def push(at: float, kind: int, payload) -> None:
-        heapq.heappush(heap, (at, next(seq), kind, payload))
-
-    def attempt(pend: _Pending) -> None:
-        """One real submission attempt; schedules its own retry on failure."""
-        nonlocal retry_attempts
-        pend.attempts += 1
-        if pend.attempts > 1:
-            retry_attempts += 1
-        try:
-            pend.session.submit_features(pend.features, record=pend.record,
-                                         deadline=pend.deadline,
-                                         request_id=pend.request_id)
-        except ServingError as exc:
-            if (retry is not None and pend.attempts < retry.max_attempts
-                    and retry.retryable(exc)):
-                push(clock + retry.delay_s(pend.attempts - 1,
-                                           pend.session._retry_rng),
-                     _SUBMIT, pend)
-            return  # otherwise: the service marked the terminal state
-        if retry is not None and retry.timeout_s is not None:
-            push(clock + retry.timeout_s, _TIMEOUT, pend)
-
-    while heap or next_arrival is not None or service.pending:
-        arrival_at = (base + next_arrival.time if next_arrival is not None
-                      else math.inf)
-        heap_at = heap[0][0] if heap else math.inf
-        next_event = min(arrival_at, heap_at)
-        if service.pending:
-            earliest = max(clock, server_free_at)
-            tick_at = max(earliest, service.scheduler.next_event_time(earliest))
-        else:
-            tick_at = math.inf
-
-        if next_event <= tick_at:
-            if arrival_at <= heap_at:  # arrivals win ties (trace order)
-                arrival = pull_arrival()
-                clock = max(clock, arrival_at)
-                service.advance_clock(clock)
-                session = sessions[arrival.session_index]
-                if arrival.close_session:
-                    service.close_session(session)
-                    continue
-                features = (arrival.features if arrival.features is not None
-                            else default_features)
-                if features is None:
-                    raise ValueError("arrival carries no features and no "
-                                     "default_features was given")
-                deadline = (clock + arrival.deadline_s
-                            if arrival.deadline_s is not None else None)
-                pend = _Pending(session=session,
-                                request_id=session.reserve_request_id(),
-                                features=features, record=arrival.record,
-                                deadline=deadline, arrived=clock)
-                tracked.append(pend)
-                by_key[(session.session_id, pend.request_id)] = pend
-                delay = 0.0
-                if faults is not None:
-                    delay = (faults.submission_delay()
-                             + faults.session_stall(session.session_id))
-                if delay > 0.0:
-                    push(clock + delay, _SUBMIT, pend)
-                else:
-                    attempt(pend)
-                continue
-            at, _, kind, payload = heapq.heappop(heap)
-            clock = max(clock, at)
-            service.advance_clock(clock)
-            if kind == _SUBMIT:
-                if not payload.done:
-                    attempt(payload)
-            else:  # _TIMEOUT: loss detection for silently dropped frames
-                pend = payload
-                if (not pend.done and retry is not None
-                        and pend.attempts < retry.max_attempts
-                        and pend.session.request_state(pend.request_id)
-                        is RequestState.QUEUED):
-                    attempt(pend)
-            continue
-
-        clock = tick_at
-        service.advance_clock(clock)
-        failures_before = service.stats.tick_failures
-        failed_samples_before = service.stats.tick_failure_samples
-        expired_before = service.stats.expired_requests
-        refusals_before = service.stats.privacy_refusals
-        responses = service.tick()
-        if not responses:
-            if service.stats.tick_failures > failures_before:
-                # The crashed pass still occupied the server: charge the
-                # attempted group's cost before the retry pass can start.
-                attempted = (service.stats.tick_failure_samples
-                             - failed_samples_before)
-                server_free_at = clock + cost.pass_seconds(attempted)
-                continue
-            if service.stats.expired_requests > expired_before:
-                continue  # progress: expired requests were shed pre-schedule
-            if service.stats.privacy_refusals > refusals_before:
-                continue  # progress: budget-exhausted riders were refused
-            break  # defensive: scheduler declined to form a group
-        ticks += 1
-        group_samples = sum(r.outputs[0].shape[0] for r in responses)
-        pass_done = clock + cost.pass_seconds(group_samples)
-        server_free_at = pass_done
-        for response in responses:
-            done = pass_done + cost.per_request_downlink_s
-            makespan = max(makespan, done)
-            key = (response.session_id, response.request_id)
-            pend = by_key.pop(key, None)
-            arrived, deadline = ((pend.arrived, pend.deadline) if pend
-                                 else (clock, None))
-            if pend is not None:
-                pend.done = True
-            latency = done - arrived
-            served_total += 1
-            latency_sum += latency
-            sketch.add(latency)
-            by_sketch.setdefault(
-                response.session_id,
-                QuantileSketch(_SESSION_SKETCH_CAPACITY)).add(latency)
-            if retain:
-                latencies.append(latency)
-                by_session.setdefault(response.session_id, []).append(latency)
-            if deadline is not None and done > deadline:
-                violations += 1
-            session = session_by_id.get(response.session_id)
-            if session is not None:  # consume so memory stays bounded
-                session.take_response(response.request_id)
-
-    # Conservation sweep: every traced submission must sit in exactly one
-    # terminal state.  Abandoned in-flight work (a frame lost on the wire
-    # with no retry budget left, or a queue the scheduler declined to
-    # drain) resolves client-side as FAILED — never silently dropped.
-    terminal_counts = {state.value: 0 for state in TERMINAL_STATES}
-    for pend in tracked:
-        state = pend.session.request_state(pend.request_id)
-        if state is None or not state.terminal:
-            pend.session._resolve(pend.request_id, RequestState.FAILED)
-            state = RequestState.FAILED
-        terminal_counts[state.value] += 1
-    conservation_ok = sum(terminal_counts.values()) == len(tracked)
-
-    if metrics is not None:
-        _publish_metrics(metrics, "sim", len(tracked), served_total,
-                         violations, retry_attempts, sketch, latency_sum)
-        service.stats.publish(metrics, "service")
-
-    return SimulationReport(scheduler=service.config.scheduler,
-                            latencies_s=latencies, violations=violations,
-                            rejected=terminal_counts[RequestState.REJECTED.value],
-                            ticks=ticks,
-                            makespan_s=makespan - base,
-                            throttled=terminal_counts[RequestState.THROTTLED.value],
-                            latencies_by_session=by_session,
-                            submitted=len(tracked),
-                            terminal_counts=terminal_counts,
-                            conservation_ok=conservation_ok,
-                            served_total=served_total,
-                            latency_sum_s=latency_sum,
-                            latency_sketch=sketch,
-                            sketch_by_session=by_sketch,
-                            tick_failures=(service.stats.tick_failures
-                                           - failures_start),
-                            retries=retry_attempts,
-                            degraded=(service.stats.degraded_responses
-                                      - degraded_start),
-                            privacy_refusals=(service.stats.privacy_refusals
-                                              - refusals_start),
-                            exhausted_sessions=(
-                                service.stats.privacy_exhausted_sessions
-                                - exhausted_start),
-                            rotations=(service.stats.selector_rotations
-                                       - rotations_start))
+    if faults is not None and faults.plan.replica_faults:
+        raise ValueError("simulate() cannot apply FaultPlan.replica_faults "
+                         "to a single service; replay a ServiceFleet with "
+                         "simulate_fleet()")
+    report = simulate_fleet(_SoloFleet(service), sessions, trace, cost,
+                            default_features=default_features, retry=retry,
+                            faults=faults, retain_latencies=retain_latencies,
+                            metrics=metrics)
+    return SimulationReport(**{field.name: getattr(report, field.name)
+                               for field in dataclasses.fields(
+                                   SimulationReport)})
 
 
 # -- fleet mode ----------------------------------------------------------
@@ -633,7 +456,16 @@ class FleetSimulationReport(SimulationReport):
 
         Times are trace-relative (0 = first arrival epoch); use it to
         compare goodput before and after a mid-trace replica kill.
+
+        Raises:
+            ValueError: requests were served but their completion times
+                were not retained (a sketch-only replay — pass
+                ``retain_latencies=True`` to the simulator).
         """
+        if self.served and not self.completion_times_s:
+            raise ValueError("goodput_between needs completion times, which "
+                             "a sketch-only replay does not retain; replay "
+                             "with retain_latencies=True")
         if end_s <= start_s:
             return 0.0
         served = sum(1 for t in self.completion_times_s
@@ -651,7 +483,8 @@ def simulate_fleet(fleet, sessions, trace, cost: TickCost,
                    admission=None) -> FleetSimulationReport:
     """Replay ``trace`` through a :class:`~repro.serving.fleet.ServiceFleet`.
 
-    The :func:`simulate` event loop, promoted to fleet scope: each
+    The one virtual-clock event loop (:func:`simulate` runs it over a
+    one-replica view of a single service).  Each
     replica keeps its **own** busy clock (``free_at``), so two replicas
     really do serve concurrently on virtual time; heartbeats are events
     (the loop advances to the next scheduled heartbeat when it precedes
@@ -685,7 +518,15 @@ def simulate_fleet(fleet, sessions, trace, cost: TickCost,
     """
     faults = faults if faults is not None else fleet.faults
     session_by_id = {s.session_id: s for s in sessions}
-    arrivals, retain = _prepare_trace(trace, retain_latencies)
+    # List/tuple traces are sorted eagerly (any order allowed) and retain
+    # exact latencies by default; any other iterable streams lazily (so
+    # must be time-monotonic) and defaults to sketch-only reporting.
+    if isinstance(trace, (list, tuple)):
+        arrivals = iter(sorted(trace, key=lambda a: a.time))
+        retain = retain_latencies is None or bool(retain_latencies)
+    else:
+        arrivals = iter(trace)
+        retain = bool(retain_latencies)
     latencies: list[float] = []
     completions: list[float] = []
     by_session: dict[int, list[float]] = {}
@@ -759,7 +600,7 @@ def simulate_fleet(fleet, sessions, trace, cost: TickCost,
                 push(clock + retry.delay_s(pend.attempts - 1,
                                            pend.session._retry_rng),
                      _SUBMIT, pend)
-            return
+            return  # otherwise: the service marked the terminal state
         if retry is not None and retry.timeout_s is not None:
             push(clock + retry.timeout_s, _TIMEOUT, pend)
 
@@ -901,12 +742,14 @@ def simulate_fleet(fleet, sessions, trace, cost: TickCost,
         factor = handle.cost_factor(clock)
         if not responses:
             if service.stats.tick_failures > failures_before:
+                # The crashed pass still occupied the server: charge the
+                # attempted group's cost before the retry pass can start.
                 attempted = (service.stats.tick_failure_samples
                              - failed_samples_before)
                 free_at[rid] = clock + cost.pass_seconds(attempted) * factor
                 continue
             if service.stats.expired_requests > expired_before:
-                continue
+                continue  # progress: expired requests were shed pre-schedule
             if service.stats.privacy_refusals > refusals_before:
                 continue  # progress: budget-exhausted riders were refused
             free_at[rid] = math.inf  # defensive: scheduler declined to group
@@ -966,8 +809,14 @@ def simulate_fleet(fleet, sessions, trace, cost: TickCost,
 
     stats = fleet.stats
     if metrics is not None:
-        _publish_metrics(metrics, "sim", len(tracked), served_total,
-                         violations, retry_attempts, sketch, latency_sum)
+        metrics.counter("sim.submitted").inc(len(tracked))
+        metrics.counter("sim.served").inc(served_total)
+        metrics.counter("sim.violations").inc(violations)
+        metrics.counter("sim.retries").inc(retry_attempts)
+        histogram = metrics.histogram("sim.latency_s",
+                                      capacity=sketch.capacity)
+        histogram.sketch.merge(sketch)
+        histogram.sum += latency_sum
         stats.publish(metrics, "service")
         fleet.fleet_stats.publish(metrics, "fleet")
         metrics.gauge("fleet.ring_replicas").set(

@@ -26,6 +26,7 @@ from repro.serving import (
     Session,
     TickCost,
     bursty_trace,
+    diurnal_trace,
     simulate_fleet,
 )
 from repro.serving.faults import (
@@ -534,3 +535,16 @@ class TestFleetSimulation:
         assert total > 0
         assert report.goodput_between(report.makespan_s + 1.0,
                                       report.makespan_s + 2.0) == 0.0
+
+    def test_goodput_between_refuses_sketch_only_replays(self):
+        # A streamed trace keeps no completion times by default: goodput
+        # in a window is unknowable, not zero.
+        fleet, sessions = make_fleet(num_replicas=2, num_sessions=4)
+        trace = diurnal_trace(num_sessions=4, num_requests=100,
+                              base_rate_hz=200.0, period_s=0.5, seed=1)
+        report = simulate_fleet(fleet, sessions, trace, self.COST,
+                                default_features=FEATURES, retry=self.RETRY)
+        assert report.served > 0
+        assert report.completion_times_s == []
+        with pytest.raises(ValueError, match="retain_latencies=True"):
+            report.goodput_between(0.0, report.makespan_s + 1e-9)

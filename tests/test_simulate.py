@@ -17,6 +17,7 @@ from repro.serving import (
     FaultInjector,
     FaultPlan,
     InferenceService,
+    ReplicaFault,
     RetryPolicy,
     TickCost,
     bursty_trace,
@@ -24,6 +25,7 @@ from repro.serving import (
     poisson_trace,
     simulate,
 )
+from repro.serving.faults import REPLICA_SLOW
 from repro.utils.rng import new_rng
 
 rng = np.random.default_rng(23)
@@ -140,6 +142,24 @@ class TestSimulate:
         with pytest.raises(ValueError, match="default_features"):
             simulate(service, sessions, [Arrival(time=0.0, session_index=0)],
                      TickCost())
+
+    @pytest.mark.parametrize("injector_on", ["service", "argument"])
+    def test_replica_faults_raise_before_any_submit(self, injector_on):
+        """A single service has no replica to slow down: the replay must
+        refuse a replica schedule instead of silently ignoring it."""
+        faults = FaultInjector(FaultPlan(replica_faults=(
+            ReplicaFault(replica=0, at_s=0.0, kind=REPLICA_SLOW,
+                         duration_s=1.0, factor=100.0),)))
+        service = InferenceService(
+            Server(tiny_bodies()),
+            faults=faults if injector_on == "service" else None)
+        session = service.adopt_session(Client(nn.Identity(), nn.Identity()))
+        with pytest.raises(ValueError, match="simulate_fleet"):
+            simulate(service, [session], [Arrival(time=0.0, session_index=0)],
+                     TickCost(pass_overhead_s=0.015),
+                     default_features=FEATURES,
+                     faults=faults if injector_on == "argument" else None)
+        assert session.request_states() == {}
 
     def test_repeated_simulate_on_one_service_is_stable(self):
         """Trace times rebase onto the service's monotonic clock, so a
