@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs smoke check: render the serving API and verify relative links.
+"""Docs smoke check: render the serving API and verify links and names.
 
-Two checks, both intended for CI (which also uploads ``docs/`` plus the
+Three checks, all intended for CI (which also uploads ``docs/`` plus the
 rendered API text as a workflow artifact):
 
 * **pydoc render** — import every ``repro.serving``, ``repro.privacy``
@@ -15,10 +15,15 @@ rendered API text as a workflow artifact):
 * **link check** — every *relative* markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to an existing file (external http(s) links
   are not fetched).  Dead links fail the build.
+* **attribute names** — every backticked `` `ServingConfig.<name>` `` or
+  `` `ServiceStats.<name>` `` in the same files must name a real
+  attribute of that class, so a deleted config knob or stats counter
+  cannot linger in the docs.
 
 Usage: ``python scripts/check_docs.py``
 """
 
+import dataclasses
 import inspect
 import pydoc
 import re
@@ -61,6 +66,9 @@ RENDER_DIR = REPO_ROOT / "build" / "docs-api"
 #: markdown inline links: [text](target); images and reference-style
 #: definitions resolve through the same pattern.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+
+#: backticked ``ServingConfig.<name>`` / ``ServiceStats.<name>`` references.
+_ATTRIBUTE_REF = re.compile(r"`(ServingConfig|ServiceStats)\.([A-Za-z_]\w*)")
 
 
 def render_api_docs(render_dir: Path = RENDER_DIR) -> list[str]:
@@ -129,16 +137,43 @@ def check_links() -> list[str]:
     return failures
 
 
+def stale_attribute_refs(text: str) -> list[str]:
+    """The ``Class.name`` references in ``text`` that name no attribute
+    (dataclass field, property or method) of ``Class``."""
+    from repro.serving.service import ServiceStats, ServingConfig
+    classes = {"ServingConfig": ServingConfig, "ServiceStats": ServiceStats}
+    stale = []
+    for class_name, attr in _ATTRIBUTE_REF.findall(text):
+        cls = classes[class_name]
+        fields = {field.name for field in dataclasses.fields(cls)}
+        if attr not in fields and not hasattr(cls, attr):
+            stale.append(f"{class_name}.{attr}")
+    return stale
+
+
+def check_attribute_refs() -> list[str]:
+    """Config/stats names in README/docs must exist; returns failures."""
+    failures = []
+    for doc in _iter_doc_files():
+        if not doc.exists():
+            continue  # reported by check_links
+        for ref in stale_attribute_refs(doc.read_text()):
+            failures.append(f"{doc.relative_to(REPO_ROOT)}: `{ref}` names "
+                            f"no attribute of that class")
+    return failures
+
+
 def main() -> int:
-    failures = render_api_docs() + check_public_docstrings() + check_links()
+    failures = (render_api_docs() + check_public_docstrings()
+                + check_links() + check_attribute_refs())
     if failures:
         print("\nDOCS CHECK FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
     print("\ndocs check ok: serving and privacy APIs render with full "
-          "docstring coverage; all relative links in README.md and docs/ "
-          "resolve")
+          "docstring coverage; all relative links and ServingConfig/"
+          "ServiceStats names in README.md and docs/ resolve")
     return 0
 
 

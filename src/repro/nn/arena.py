@@ -1,12 +1,11 @@
 """Tensor arena: reuse the serving tier's staging buffers across ticks.
 
 A coalesced serving tick copies its requests' uplink payloads into one
-batch array (and, for speculative mixed-spatial groups, onto one
-zero-padded canvas).  A :class:`TensorArena` keeps those buffers alive
-between ticks and hands them back by name, so a steady stream of
-same-shaped groups never re-allocates them.
+batch array.  A :class:`TensorArena` keeps that staging buffer alive
+between ticks and hands it back by name, so a steady stream of
+same-shaped groups never re-allocates it.
 
-The arena holds *only* these service-owned buffers.  Kernel scratch (pad
+The arena holds *only* this service-owned buffer.  Kernel scratch (pad
 canvases, im2col columns, GEMM products) is allocated fresh per call:
 the allocator hands a just-freed, cache-hot block back to the next
 layer, which measured faster than cycling through one pooled buffer per
@@ -17,11 +16,10 @@ member-major with the batch innermost, ``(E, C, H, W, N)`` (see
 Safety model
 ------------
 An arena buffer's contents are undefined when handed out: the owner
-overwrites every element it reads (the staging copy fills every row, the
-canvas is zero-filled before the requests are placed).  Nothing that
-escapes a tick — layer outputs, response payloads — aliases an arena
-buffer, so a poisoned arena (:meth:`TensorArena.poison`, used by the
-differential tests) can never leak NaNs into served features.
+overwrites every element it reads (the staging copy fills every row).
+Nothing that escapes a tick — layer outputs, response payloads — aliases
+an arena buffer, so a poisoned arena (:meth:`TensorArena.poison`, used by
+the differential tests) can never leak NaNs into served features.
 
 Shape-keyed invalidation: a slot whose requested shape or dtype differs
 from the cached buffer is re-allocated on the spot, so a coalesce-key

@@ -338,9 +338,10 @@ def _unpack(data: bytes, expected_kind: int, zero_copy: bool = False
 
     With ``zero_copy=True`` and an *immutable* ``bytes`` input, the
     returned arrays are read-only :func:`numpy.frombuffer` views straight
-    into ``data`` — no payload copy happens at decode time (the serving
-    fast path copies exactly once, from these views into its staging
-    buffer).  Mutable buffers (``bytearray``, writable ``memoryview``)
+    into ``data`` — no payload copy happens at decode time (the serve
+    path copies a payload at most once, into the staging buffer of a
+    multi-request group; a lone request is served from the view).
+    Mutable buffers (``bytearray``, writable ``memoryview``)
     always get defensive copies regardless of the flag: a view into a
     buffer the sender may recycle would let post-decode mutations alias
     into served features.
@@ -406,7 +407,7 @@ def _unpack(data: bytes, expected_kind: int, zero_copy: bool = False
         if zlib.crc32(payload, zlib.crc32(header_bytes)) != stored_crc:
             raise ProtocolError("frame checksum mismatch")
         # frombuffer over a memoryview of ``bytes`` yields a *read-only*
-        # array, so the shared fast path cannot scribble on the wire
+        # array, so the shared serve path cannot scribble on the wire
         # buffer even by accident — the aliasing fuzz tests assert this.
         arr = np.frombuffer(payload, dtype=dtype,
                             count=count_elems).reshape(shape)

@@ -231,19 +231,6 @@ class ServingConfig:
     payload and SLO slack.  ``rate_limit`` is the *default* per-session
     token bucket applied to tenants that do not negotiate their own
     (``None`` = unlimited).
-
-    ``fast_path`` enables the eval-time serving optimisations: the
-    service owns a :class:`~repro.nn.arena.TensorArena` whose buffers
-    (the uplink staging buffer and the speculative canvas) persist
-    across ticks, group batches are staged into that arena instead of
-    ``np.concatenate``-ing fresh memory, and :meth:`InferenceService.\
-submit_bytes` decodes wire frames zero-copy.  Served bytes are
-    bit-identical with the flag off — the differential wire-equivalence
-    suite pins this.  ``speculative`` additionally lets the scheduler
-    form mixed-spatial groups (see
-    :meth:`~repro.serving.scheduler.Scheduler.next_group_speculative`)
-    which the service reconciles in one tick by canvas padding
-    (padding-safe engines) or per-key sub-passes.
     """
 
     max_batch: int = 8   # group-size cap (ignored by the deadline policy)
@@ -253,8 +240,6 @@ submit_bytes` decodes wire frames zero-copy.  Served bytes are
     rate_limit: RateLimit | None = None  # default per-session token bucket
     shed_expired: bool = False  # shed explicit-deadline requests pre-schedule
     tick_retries: int = 1  # crashed-pass re-queues before a request FAILs
-    fast_path: bool = True   # arena buffer reuse + zero-copy decode
-    speculative: bool = False  # mixed-spatial group formation
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -311,7 +296,6 @@ class ServiceStats:
     privacy_refusals: int = 0    # submits/serves refused past exhaustion
     privacy_exhausted_sessions: int = 0  # sessions closed by a spent budget
     selector_rotations: int = 0  # switching-ensemble subset re-draws
-    speculative_merges: int = 0  # mixed-spatial groups served in one tick
 
     @property
     def mean_coalesced(self) -> float:
@@ -360,8 +344,8 @@ class InferenceService:
     features through all N bodies and returns all N maps, per session.
 
     ``scheduler`` accepts a registry name (``"fifo"``, ``"fair"``,
-    ``"deadline"``) or a pre-built :class:`Scheduler` instance for
-    policies that need constructor arguments.
+    ``"weighted"``, ``"deadline"``) or a pre-built :class:`Scheduler`
+    instance for policies that need constructor arguments.
     """
 
     def __init__(self, server: Server | list, max_batch: int = 8,
@@ -372,9 +356,7 @@ class InferenceService:
                  faults: FaultInjector | None = None,
                  overload: "OverloadController | OverloadPolicy | None" = None,
                  shed_expired: bool = False,
-                 tick_retries: int = 1,
-                 fast_path: bool = True,
-                 speculative: bool = False):
+                 tick_retries: int = 1):
         if not isinstance(server, Server):
             server = Server(list(server))
         self.scheduler = make_scheduler(scheduler)
@@ -383,13 +365,11 @@ class InferenceService:
                                     codec=Codec.parse(codec).name.lower(),
                                     rate_limit=RateLimit.parse(rate_limit),
                                     shed_expired=shed_expired,
-                                    tick_retries=tick_retries,
-                                    fast_path=fast_path,
-                                    speculative=speculative)
+                                    tick_retries=tick_retries)
         self.server = server
-        #: the per-service staging arena (``None`` with the fast path
-        #: off): uplink staging / canvas buffers persist across ticks.
-        self.arena = TensorArena() if fast_path else None
+        #: the per-service staging arena: the uplink staging buffer of
+        #: multi-request groups persists across ticks.
+        self.arena = TensorArena()
         self.faults = faults
         self.overload = (OverloadController(overload)
                          if isinstance(overload, OverloadPolicy) else overload)
@@ -418,9 +398,7 @@ class InferenceService:
                    codec=config.codec, rate_limit=config.rate_limit,
                    faults=faults, overload=overload,
                    shed_expired=config.shed_expired,
-                   tick_retries=config.tick_retries,
-                   fast_path=config.fast_path,
-                   speculative=config.speculative)
+                   tick_retries=config.tick_retries)
 
     # -- session management ---------------------------------------------
 
@@ -688,18 +666,19 @@ class InferenceService:
 
         The network-facing twin of :meth:`submit`: parses the CRC32-framed
         :class:`~repro.serving.protocol.UploadRequest` and enqueues it.
-        With the fast path on, the parse is **zero-copy** — the request's
-        ``features`` are a read-only :func:`numpy.frombuffer` view into
-        ``data``, and the only payload copy on the whole serve path is
-        the tick's staging copy into the arena batch buffer.  Mutable
-        buffers (``bytearray`` / ``memoryview``) are defensively copied
-        at decode regardless, so a sender recycling its frame buffer can
-        never alias into served features.  Admission control, accounting
-        and the typed error surface are exactly :meth:`submit`'s.
+        The parse is **zero-copy**: the request's ``features`` are a
+        read-only :func:`numpy.frombuffer` view into ``data``.  A
+        multi-request group copies each payload once, into the arena
+        staging buffer; a single-request group reaches
+        :meth:`~repro.ci.pipeline.Server.compute` as that read-only view,
+        with no payload copy at all.  Only immutable ``bytes`` are ever
+        shared: mutable buffers (``bytearray`` / ``memoryview``) are
+        defensively copied at decode, so a sender recycling its frame
+        buffer can never alias into served features.  Admission control,
+        accounting and the typed error surface are exactly
+        :meth:`submit`'s.
         """
-        request = UploadRequest.from_bytes(
-            data, zero_copy=self.config.fast_path)
-        return self.submit(request)
+        return self.submit(UploadRequest.from_bytes(data, zero_copy=True))
 
     def tick(self) -> list[FeatureResponse]:
         """One deterministic scheduler step: serve the next coalesced group.
@@ -738,12 +717,8 @@ class InferenceService:
                 self.scheduler.pending, self.config.max_queue)
             self.stats.overload_escalations = self.overload.escalations
             self.stats.overload_recoveries = self.overload.recoveries
-        if self.config.speculative:
-            group = self.scheduler.next_group_speculative(
-                self.config.max_batch, now=self.now)
-        else:
-            group = self.scheduler.next_group(self.config.max_batch,
-                                              now=self.now)
+        group = self.scheduler.next_group(self.config.max_batch,
+                                          now=self.now)
         if not group:
             return []
         tick_index = self._tick_attempts
@@ -769,8 +744,6 @@ class InferenceService:
                 per_request = None  # a real mid-pass crash: same recovery path
         if per_request is None:
             return self._fail_tick(group)
-        if len({r.coalesce_key for r in group}) > 1:
-            self.stats.speculative_merges += 1
         degraded_pass = num_bodies < total
         if degraded_pass:
             # The client's selector needs all N positions: alias the maps
@@ -828,21 +801,20 @@ class InferenceService:
         self.stats.peak_coalesced = max(self.stats.peak_coalesced, len(group))
         return responses
 
-    # -- fused-pass fast path -------------------------------------------
+    # -- fused pass -----------------------------------------------------
 
     def _stage_batch(self, group: list[UploadRequest]) -> np.ndarray:
         """Assemble one shape-homogeneous group into a batch array.
 
-        With the fast path on, rides the arena's persistent staging
-        buffer (every element overwritten — the poisoning tests check
-        this) instead of allocating a fresh ``np.concatenate`` each tick;
-        it is also the single copy zero-copy-decoded payloads ever pay.
+        A single request is passed through as is.  A larger group rides
+        the arena's persistent staging buffer (every element overwritten
+        — the poisoning tests check this) instead of allocating a fresh
+        ``np.concatenate`` each tick; it is also the single copy
+        zero-copy-decoded payloads ever pay.
         """
         feats = [r.features for r in group]
         if len(feats) == 1:
             return feats[0]
-        if self.arena is None:
-            return np.concatenate(feats, axis=0)
         total = sum(f.shape[0] for f in feats)
         staged = self.arena.take_named(
             "uplink_staging", (total,) + feats[0].shape[1:], feats[0].dtype)
@@ -867,82 +839,14 @@ class InferenceService:
 
     def _compute_group(self, group: list[UploadRequest],
                        num_bodies: int) -> list[list[np.ndarray]]:
-        """Serve one (possibly mixed-spatial) group; per-request outputs.
+        """Serve one shape-homogeneous group as one stacked pass.
 
-        Shape-homogeneous groups run the classic single stacked pass.  A
-        speculative mixed group is reconciled inside this one tick:
-        zero-padded onto a common canvas and cropped back when the
-        engine is provably padding-safe (spatially-pointwise tree),
-        otherwise as one exact sub-pass per coalesce key.  Either way a
-        crash anywhere fails the *whole* group through the caller's
+        A crash anywhere fails the *whole* group through the caller's
         ``_fail_tick`` recovery.
         """
-        if len({r.coalesce_key for r in group}) == 1:
-            outputs = self.server.compute(self._stage_batch(group),
-                                          num_bodies=num_bodies)
-            return self._split_outputs(outputs, group)
-        if (self.server.padding_safe
-                and all(r.features.ndim == 4 for r in group)):
-            return self._canvas_pass(group, num_bodies)
-        return self._keyed_subpasses(group, num_bodies)
-
-    def _canvas_pass(self, group: list[UploadRequest],
-                     num_bodies: int) -> list[list[np.ndarray]]:
-        """Mixed spatial sizes on one zero-padded canvas, cropped back.
-
-        Exact only for padding-safe engines: each request sits in the
-        top-left corner of a ``(max_h, max_w)`` canvas whose margins are
-        zero, and each output map is cropped back to the request's own
-        spatial size — a spatially-pointwise tree never mixes margin
-        into the cropped region.
-        """
-        feats = [r.features for r in group]
-        channels = feats[0].shape[1]
-        height = max(f.shape[2] for f in feats)
-        width = max(f.shape[3] for f in feats)
-        total = sum(f.shape[0] for f in feats)
-        shape = (total, channels, height, width)
-        if self.arena is not None:
-            canvas = self.arena.take_named("uplink_canvas", shape,
-                                           feats[0].dtype)
-            canvas.fill(0)  # margins must be zeros, not last tick's bytes
-        else:
-            canvas = np.zeros(shape, dtype=feats[0].dtype)
-        offset = 0
-        for feat in feats:
-            n, _, h, w = feat.shape
-            canvas[offset:offset + n, :, :h, :w] = feat
-            offset += n
-        outputs = self.server.compute(canvas, num_bodies=num_bodies)
-        per_request = []
-        offset = 0
-        for request in group:
-            n, _, h, w = request.features.shape
-            outs = []
-            for out in outputs:
-                sliced = out[offset:offset + n]
-                if sliced.ndim == 4 and sliced.shape[2:] == (height, width):
-                    sliced = sliced[:, :, :h, :w]
-                outs.append(np.ascontiguousarray(sliced))
-            per_request.append(outs)
-            offset += n
-        return per_request
-
-    def _keyed_subpasses(self, group: list[UploadRequest],
-                         num_bodies: int) -> list[list[np.ndarray]]:
-        """Mixed group on a padding-unsafe engine: one exact stacked pass
-        per coalesce key, results re-interleaved into group order."""
-        buckets: dict[tuple, list[int]] = {}
-        for index, request in enumerate(group):
-            buckets.setdefault(request.coalesce_key, []).append(index)
-        per_request: list[list[np.ndarray] | None] = [None] * len(group)
-        for indices in buckets.values():
-            sub = [group[i] for i in indices]
-            outputs = self.server.compute(self._stage_batch(sub),
-                                          num_bodies=num_bodies)
-            for outs, i in zip(self._split_outputs(outputs, sub), indices):
-                per_request[i] = outs
-        return per_request
+        outputs = self.server.compute(self._stage_batch(group),
+                                      num_bodies=num_bodies)
+        return self._split_outputs(outputs, group)
 
     def _fail_tick(self, group: list[UploadRequest]) -> list[FeatureResponse]:
         """Recover a crashed stacked pass: re-queue or fail its riders."""

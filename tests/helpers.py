@@ -1,10 +1,12 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and the
+copying serve-path oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
+from repro.serving.service import InferenceService
 
 
 def numerical_grad(fn, tensor: Tensor, eps: float = 1e-5) -> np.ndarray:
@@ -43,3 +45,16 @@ def assert_gradients_close(fn, tensors: list[Tensor], rtol: float = 1e-4, atol: 
 def rand_tensor(rng: np.random.Generator, *shape: int, scale: float = 1.0) -> Tensor:
     """Float64 random tensor with gradients enabled (for gradcheck)."""
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True, dtype=np.float64)
+
+
+class ConcatStagingService(InferenceService):
+    """Reference oracle for the serve path: every group is staged with a
+    fresh ``np.concatenate`` instead of the service's arena buffer.
+
+    Paired with the copying decode (``submit(UploadRequest.from_bytes(
+    frame))``) it is the straightforward serve path the arena staging and
+    zero-copy ``submit_bytes`` must match bit for bit.
+    """
+
+    def _stage_batch(self, group):
+        return np.concatenate([r.features for r in group], axis=0)

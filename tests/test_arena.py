@@ -1,25 +1,22 @@
-"""Differential tests for the serving tensor arena and speculative groups.
+"""Differential tests for the serving tensor arena.
 
 The :class:`repro.nn.arena.TensorArena` holds the service's staging
-buffers (the uplink batch a coalesced group is copied into, the canvas
-of a speculative mixed-spatial pass) and keeps them alive across ticks.
-Kernel scratch never lives there.  The safety contract — no arena byte
+buffer (the uplink batch a coalesced group is copied into) and keeps it
+alive across ticks.  Kernel scratch never lives there.  The safety contract — no arena byte
 ever escapes into a served feature map, and a shape/dtype change can
 never serve a stale view — is enforced here adversarially, always on
 multi-request groups so the staging buffer is live:
 
 * **poisoning** — NaN-fill every pooled buffer between ticks; served
-  outputs must stay bit-identical to the same groups served with the
-  fast path off (a single leaked arena element would surface as NaN);
+  outputs must stay bit-identical to the same groups staged by the
+  ``np.concatenate`` reference (a single leaked arena element would
+  surface as NaN);
 * **invalidation** — alternate coalesce keys across ticks; every slot
   re-allocates on mismatch and still serves reference outputs;
 * **coalescing contract** — a request's served features depend on its
   own payload and its group's shape only, never on its group-mates'
   values; against per-request serving (a different GEMM shape) they
-  agree to ≤1e-5;
-* **speculative groups** — mixed-spatial requests served in one tick
-  (canvas pad/crop on padding-safe engines, per-key sub-passes
-  otherwise) must match per-request reference serving exactly.
+  agree to ≤1e-5.
 """
 
 import numpy as np
@@ -31,9 +28,9 @@ from repro import nn
 from repro.ci.pipeline import Client, Server
 from repro.nn.arena import TensorArena
 from repro.nn.tensor import Tensor, no_grad
-from repro.serving.scheduler import speculative_compatible
 from repro.serving.service import InferenceService
 from repro.utils.rng import new_rng
+from tests.helpers import ConcatStagingService
 
 
 class TestTensorArenaUnit:
@@ -79,7 +76,7 @@ class TestTensorArenaUnit:
 
 
 def make_resnet_bodies(num_nets: int = 3) -> list[nn.Module]:
-    """3x3-conv bodies: NOT padding-safe (spatial receptive field)."""
+    """Conv/BN/ReLU bodies with 3x3 receptive fields."""
     bodies = []
     for i in range(num_nets):
         rng = new_rng(80 + i)
@@ -94,26 +91,10 @@ def make_resnet_bodies(num_nets: int = 3) -> list[nn.Module]:
     return bodies
 
 
-def make_pointwise_bodies(num_nets: int = 3) -> list[nn.Module]:
-    """1x1-conv bodies: padding-safe, eligible for canvas batching."""
-    bodies = []
-    for i in range(num_nets):
-        rng = new_rng(90 + i)
-        body = nn.Sequential(
-            nn.Conv2d(3, 5, 1, rng=rng), nn.BatchNorm2d(5), nn.ReLU(),
-            nn.Conv2d(5, 5, 1, rng=rng), nn.Sigmoid())
-        body.train()
-        with no_grad():
-            body(Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32)))
-        body.eval()
-        bodies.append(body)
-    return bodies
-
-
-def serve_reference(make_bodies, feats: list[np.ndarray]) -> list[list]:
-    """Per-request serving with every fast-path feature off."""
-    service = InferenceService(Server(make_bodies(), fold_bn=False),
-                               max_batch=1, fast_path=False)
+def serve_reference(feats: list[np.ndarray]) -> list[list]:
+    """Per-request serving through the copying reference, BN unfolded."""
+    service = ConcatStagingService(Server(make_resnet_bodies(), fold_bn=False),
+                                   max_batch=1)
     session = service.adopt_session(Client(nn.Identity(), nn.Identity()))
     ids = [session.submit_features(f) for f in feats]
     service.run_until_idle()
@@ -162,25 +143,24 @@ def random_groups(seed: int, shapes: list[tuple[int, ...]],
 
 
 class TestArenaServiceIntegration:
-    def _service(self, make_bodies, fast_path: bool = True, **kwargs):
+    def _service(self, reference: bool = False):
         # fold_bn=False isolates the arena: outputs must be *bit*-equal
-        # to the no-arena reference (the fold's own parity is ≤1e-5 and
-        # covered by test_fold_parity).
-        return InferenceService(Server(make_bodies(), fold_bn=False),
-                                fast_path=fast_path, **kwargs)
+        # to the np.concatenate reference (the fold's own parity is
+        # ≤1e-5 and covered by test_fold_parity).
+        service_cls = ConcatStagingService if reference else InferenceService
+        return service_cls(Server(make_resnet_bodies(), fold_bn=False))
 
     def test_poisoned_arena_never_leaks_into_outputs(self):
         groups = random_groups(14, [(2, 3, 6, 6)] * 4, per_group=3)
-        service = self._service(make_resnet_bodies)
+        service = self._service()
         results = serve_groups(service, groups, poison=True)
         assert service.arena.num_buffers > 0  # the staging buffer is live
-        reference = serve_groups(
-            self._service(make_resnet_bodies, fast_path=False), groups)
+        reference = serve_groups(self._service(reference=True), groups)
         assert_maps_equal(results, reference)
 
     def test_arena_buffers_are_reused_between_ticks(self):
         groups = random_groups(15, [(2, 3, 6, 6)] * 2)
-        service = self._service(make_resnet_bodies)
+        service = self._service()
         serve_groups(service, groups[:1])
         pooled = service.arena.num_buffers
         assert pooled > 0
@@ -193,32 +173,28 @@ class TestArenaServiceIntegration:
         """Alternating coalesce keys must re-allocate, never serve stale."""
         shapes = [(2, 3, 6, 6), (3, 3, 8, 8), (2, 3, 6, 6), (1, 3, 4, 4)]
         groups = random_groups(16, shapes)
-        service = self._service(make_resnet_bodies)
+        service = self._service()
         results = serve_groups(service, groups, poison=True)
         assert service.arena.misses == len(shapes)  # every key change
-        reference = serve_groups(
-            self._service(make_resnet_bodies, fast_path=False), groups)
+        reference = serve_groups(self._service(reference=True), groups)
         assert_maps_equal(results, reference)
         flat = [f for group in groups for f in group]
-        assert_maps_equal(results, serve_reference(make_resnet_bodies, flat),
-                          atol=1e-5)
+        assert_maps_equal(results, serve_reference(flat), atol=1e-5)
 
     def test_staging_buffer_coalesces_multi_request_groups(self):
         """One pass serves the group; same group shape ⇒ the same bits.
 
-        Against the fast path off (identical GEMM shapes) the comparison is
+        Against ``np.concatenate`` staging (identical GEMM shapes) it is
         bit-exact; against per-request serving the GEMMs are narrower and
         BLAS may pick another kernel, so float32 rounding is allowed.
         """
         groups = random_groups(17, [(2, 3, 6, 6)])
-        service = self._service(make_resnet_bodies)
+        service = self._service()
         results = serve_groups(service, groups)
         assert service.arena.num_buffers == 1  # just the staging buffer
-        reference = serve_groups(
-            self._service(make_resnet_bodies, fast_path=False), groups)
+        reference = serve_groups(self._service(reference=True), groups)
         assert_maps_equal(results, reference)
-        assert_maps_equal(results, serve_reference(make_resnet_bodies,
-                                                   groups[0]), atol=1e-5)
+        assert_maps_equal(results, serve_reference(groups[0]), atol=1e-5)
 
 
 @settings(max_examples=8, deadline=None)
@@ -243,57 +219,3 @@ def test_served_features_ignore_group_mate_values(seed, mates, batch,
         served.append(serve_groups(service, [group])[position])
     assert_maps_equal([served[0]], [served[1]])
 
-
-class TestSpeculativeGroups:
-    def test_speculative_compatible_predicate(self):
-        from repro.serving.protocol import UploadRequest
-
-        a = UploadRequest(1, 0, np.zeros((2, 3, 6, 6), dtype=np.float32))
-        b = UploadRequest(1, 1, np.zeros((1, 3, 8, 8), dtype=np.float32))
-        c = UploadRequest(1, 2, np.zeros((1, 4, 8, 8), dtype=np.float32))
-        d = UploadRequest(1, 3, np.zeros((1, 3, 8, 8), dtype=np.float64))
-        assert speculative_compatible(a, b)       # spatial sizes may differ
-        assert not speculative_compatible(a, c)   # channels must match
-        assert not speculative_compatible(a, d)   # dtype must match
-
-    def _mixed_spatial_case(self, make_bodies, expect_canvas):
-        feats = [np.random.default_rng(18 + i).standard_normal(shape)
-                 .astype(np.float32)
-                 for i, shape in enumerate([(2, 3, 6, 6), (1, 3, 8, 8),
-                                            (2, 3, 4, 4)])]
-        reference = serve_reference(make_bodies, feats)
-        service = InferenceService(Server(make_bodies(), fold_bn=False),
-                                   fast_path=True, speculative=True,
-                                   max_batch=8)
-        assert service.server.padding_safe is expect_canvas
-        sessions = [service.adopt_session(Client(nn.Identity(),
-                                                 nn.Identity()))
-                    for _ in feats]
-        ids = [s.submit_features(f) for s, f in zip(sessions, feats)]
-        service.tick()
-        assert service.stats.ticks == 1  # ONE tick served all three shapes
-        assert service.stats.speculative_merges == 1
-        for sess, rid, ref_maps in zip(sessions, ids, reference):
-            for a, b in zip(sess.result(rid), ref_maps):
-                np.testing.assert_array_equal(a, b)
-
-    def test_canvas_pass_on_padding_safe_engine(self):
-        """Pointwise engines pad onto one canvas and crop back, exactly."""
-        self._mixed_spatial_case(make_pointwise_bodies, expect_canvas=True)
-
-    def test_subpasses_on_padding_unsafe_engine(self):
-        """3x3 engines fall back to one exact sub-pass per coalesce key."""
-        self._mixed_spatial_case(make_resnet_bodies, expect_canvas=False)
-
-    def test_homogeneous_groups_never_count_as_merges(self):
-        service = InferenceService(Server(make_pointwise_bodies(),
-                                          fold_bn=False),
-                                   fast_path=True, speculative=True)
-        session = service.adopt_session(Client(nn.Identity(), nn.Identity()))
-        f = np.random.default_rng(19).standard_normal(
-            (2, 3, 6, 6)).astype(np.float32)
-        session.submit_features(f)
-        session.submit_features(f)
-        service.tick()
-        assert service.stats.ticks == 1
-        assert service.stats.speculative_merges == 0

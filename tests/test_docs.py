@@ -41,3 +41,15 @@ def test_readme_documents_deadline_ignoring_max_batch():
     readme = " ".join((REPO_ROOT / "README.md").read_text().split())
     assert ("`deadline` ignores it" in readme
             or "`max_batch` is ignored" in readme)
+
+
+def test_config_and_stats_names_in_docs_exist():
+    """Every backticked ``ServingConfig.<name>`` / ``ServiceStats.<name>``
+    in README/docs names a real attribute, and a deleted one is caught."""
+    check_docs = load_check_docs()
+    failures = check_docs.check_attribute_refs()
+    assert not failures, "\n".join(failures)
+    text = ("`ServingConfig.max_batch`, `ServiceStats.mean_coalesced`, "
+            "`ServingConfig.fast_path` and `ServiceStats.speculative_merges`")
+    assert check_docs.stale_attribute_refs(text) == [
+        "ServingConfig.fast_path", "ServiceStats.speculative_merges"]

@@ -1,7 +1,9 @@
 """Fuzz tests for the CRC32-hardened wire protocol: no mangled frame may
 escape as anything but a typed ProtocolError — plus the end-to-end wire
-equivalence of the serving fast path (arena + zero-copy decode), which
-must leave every served response byte-identical."""
+equivalence of the serve path (zero-copy decode + arena staging) with a
+copying reference, which must leave every served response byte-identical."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from repro.serving import (
     ProtocolError,
     UploadRequest,
 )
-from repro.serving.simulate import TickCost, bursty_trace, simulate
+from repro.serving.simulate import bursty_trace
 from repro.utils.rng import new_rng
+from tests.helpers import ConcatStagingService
 
 rng = np.random.default_rng(97)
 
@@ -143,15 +146,17 @@ class _FrameRecordingChannel(Channel):
 
 
 class TestFastPathWireEquivalence:
-    """The eval-time fast path (tensor arena, staged uplink batches,
-    zero-copy frame decode) is a pure optimisation: replaying the same
-    bursty trace with ``fast_path`` on and off must produce *identical*
-    response frame bytes for every request id, under every codec.
+    """The eval-time serve path (zero-copy ``submit_bytes`` decode, arena
+    staging of coalesced groups) is a pure optimisation: replaying the
+    same bursty trace through it and through the in-test reference —
+    copying decode (``submit(UploadRequest.from_bytes(frame))``) and
+    ``np.concatenate`` staging — must produce *identical* response frame
+    bytes for every request id, under every codec.
 
-    The conv←BN fold is held constant across both arms — it shifts
-    numerics at the float32-rounding level by design, and its own ≤1e-5
-    parity is pinned by ``tests/test_fold_parity.py``; this suite pins
-    the byte-exactness of everything else.
+    The conv←BN fold is the same in both arms — it shifts numerics at
+    the float32-rounding level by design, and its own ≤1e-5 parity is
+    pinned by ``tests/test_fold_parity.py``; this suite pins the
+    byte-exactness of everything else.
     """
 
     NUM_SESSIONS = 3
@@ -167,33 +172,48 @@ class TestFastPathWireEquivalence:
             body.eval()
         return bodies
 
-    def _replay(self, codec: Codec, fast_path: bool) -> dict:
-        """One bursty replay; returns response frame bytes by request key."""
-        service = InferenceService(Server(self._make_bodies()),
-                                   max_batch=4, fast_path=fast_path)
+    def _replay(self, codec: Codec, reference: bool) -> dict:
+        """One bursty replay; returns response frame bytes by request key.
+
+        Each burst's frames are submitted, then the queue drains: with
+        ``max_batch=4`` a burst of five is served as a staged group of
+        four plus a single request that reaches the engine unstaged.
+        """
+        service_cls = ConcatStagingService if reference else InferenceService
+        service = service_cls(Server(self._make_bodies()), max_batch=4)
         channels = [_FrameRecordingChannel()
                     for _ in range(self.NUM_SESSIONS)]
         sessions = [service.adopt_session(
                         Client(nn.Identity(), nn.Identity()),
                         channel=channel, codec=codec)
                     for channel in channels]
-        features = np.random.default_rng(42).standard_normal(
-            (2, 3, 6, 6)).astype(np.float32)
+        payloads = np.random.default_rng(42)
         trace = bursty_trace(num_sessions=self.NUM_SESSIONS, bursts=3,
                              burst_size=5, burst_gap_s=0.5)
-        report = simulate(service, sessions, trace,
-                          TickCost(pass_overhead_s=0.01,
-                                   per_sample_s=0.001),
-                          default_features=features)
-        assert report.served == len(trace)
+        for _, burst in itertools.groupby(trace, key=lambda a: a.time):
+            for arrival in burst:
+                session = sessions[arrival.session_index]
+                batch = int(payloads.integers(1, 3))
+                features = payloads.standard_normal(
+                    (batch, 3, 6, 6)).astype(np.float32)
+                frame = UploadRequest(session.session_id,
+                                      session.reserve_request_id(),
+                                      features).to_bytes()
+                if reference:
+                    service.submit(UploadRequest.from_bytes(frame))
+                else:
+                    service.submit_bytes(frame)
+            service.run_until_idle()
+        assert service.stats.served_requests == len(trace)
+        assert service.stats.peak_coalesced == 4
         return {(session.session_id, request_id): frame
                 for session, channel in zip(sessions, channels)
                 for request_id, frame in channel.downlink_frames.items()}
 
     @pytest.mark.parametrize("codec", CODECS)
     def test_fast_path_responses_byte_identical(self, codec):
-        fast = self._replay(codec, fast_path=True)
-        slow = self._replay(codec, fast_path=False)
+        fast = self._replay(codec, reference=False)
+        slow = self._replay(codec, reference=True)
         assert fast.keys() == slow.keys()
         assert len(fast) == 15  # every traced request answered, both arms
         for key in fast:

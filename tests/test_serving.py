@@ -474,7 +474,8 @@ class TestCoalescing:
         assert small.stats.served_requests == 3
 
     def test_shape_change_breaks_group(self):
-        """FIFO groups stop at a feature-shape boundary (never reorder)."""
+        """FIFO groups stop at a feature-shape boundary (never reorder),
+        and every request is served its own per-request maps."""
         config = tiny_config()
         bodies = make_bodies(3, config)
         service = InferenceService(Server(bodies), max_batch=8)
@@ -484,11 +485,18 @@ class TestCoalescing:
         session = service.adopt_session(client)
         # Convolutional bodies accept any spatial size; 8x8 and 4x4 uploads
         # cannot share one concatenated batch.
-        session.submit_features(rng.random((1, 8, 8, 8)).astype(np.float32))
-        session.submit_features(rng.random((1, 8, 4, 4)).astype(np.float32))
-        session.submit_features(rng.random((1, 8, 8, 8)).astype(np.float32))
+        feats = [rng.random((1, 8, size, size)).astype(np.float32)
+                 for size in (8, 4, 8)]
+        ids = [session.submit_features(f) for f in feats]
         assert service.run_until_idle() == 3
         assert service.stats.peak_coalesced == 1
+        for f, rid in zip(feats, ids):
+            served = session.take_response(rid).decoded()
+            reference = service.server.compute(f)
+            assert len(served) == len(reference) == 3
+            for got, want in zip(served, reference):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
     def test_aggregate_transfer_totals(self):
         config, bodies, service, sessions = self.make_deployment(num_sessions=3)

@@ -21,6 +21,7 @@ from repro import nn
 from repro.ci.pipeline import Client, Server
 from repro.serving.protocol import Codec, FeatureResponse, UploadRequest
 from repro.serving.service import InferenceService
+from tests.helpers import ConcatStagingService
 
 
 def make_frame(shape=(2, 3, 6, 6), dtype=np.float32, seed=0) -> tuple:
@@ -96,11 +97,20 @@ class TestZeroCopyDecode:
 
 
 class TestZeroCopyServePath:
-    def _serve(self, fast_path: bool, frames: list[bytes]) -> list[list]:
-        service = InferenceService(Server(make_bodies()),
-                                   fast_path=fast_path)
+    def _serve(self, frames: list[bytes]) -> list[list]:
+        """Zero-copy ``submit_bytes`` ingest, arena-staged groups."""
+        service = InferenceService(Server(make_bodies()))
         session = service.adopt_session(Client(nn.Identity(), nn.Identity()))
         ids = [service.submit_bytes(frame) for frame in frames]
+        service.run_until_idle()
+        return [session.result(rid) for rid in ids]
+
+    def _serve_reference(self, frames: list[bytes]) -> list[list]:
+        """The copying oracle: copying decode, ``np.concatenate`` staging."""
+        service = ConcatStagingService(Server(make_bodies()))
+        session = service.adopt_session(Client(nn.Identity(), nn.Identity()))
+        ids = [service.submit(UploadRequest.from_bytes(frame))
+               for frame in frames]
         service.run_until_idle()
         return [session.result(rid) for rid in ids]
 
@@ -114,8 +124,8 @@ class TestZeroCopyServePath:
     def test_submit_bytes_serves_reference_outputs(self):
         """The zero-copy ingest path returns byte-identical features."""
         _, frames = self._frames()
-        fast = self._serve(True, frames)
-        slow = self._serve(False, frames)
+        fast = self._serve(frames)
+        slow = self._serve_reference(frames)
         for fast_maps, slow_maps in zip(fast, slow):
             for a, b in zip(fast_maps, slow_maps):
                 np.testing.assert_array_equal(a, b)
@@ -124,14 +134,14 @@ class TestZeroCopyServePath:
         """Serving shared views must never write through to the frames."""
         _, frames = self._frames()
         pristine = [bytes(frame) for frame in frames]
-        self._serve(True, frames)
+        self._serve(frames)
         assert frames == pristine
 
     def test_copying_ingest_tolerates_recycled_frames(self):
         """A sender may reuse its buffer once submit_bytes returns —
         the mutable-buffer decode copied defensively."""
         feats, frames = self._frames(2)
-        service = InferenceService(Server(make_bodies()), fast_path=True)
+        service = InferenceService(Server(make_bodies()))
         session = service.adopt_session(Client(nn.Identity(), nn.Identity()))
         buffers = [bytearray(frame) for frame in frames]
         ids = [service.submit_bytes(buf) for buf in buffers]
@@ -139,7 +149,7 @@ class TestZeroCopyServePath:
             for i in range(len(buf)):
                 buf[i] ^= 0xFF
         service.run_until_idle()
-        reference = self._serve(False, frames)
+        reference = self._serve_reference(frames)
         for rid, ref_maps in zip(ids, reference):
             for a, b in zip(session.result(rid), ref_maps):
                 np.testing.assert_array_equal(a, b)
