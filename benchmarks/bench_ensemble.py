@@ -1,9 +1,11 @@
 """E1 — looped vs batched ensemble execution (the server's Fig.-2 hot path).
 
-Times ``server_outputs`` over N resnet-style bodies on both backends:
+Times one forward over N resnet-style bodies, called directly (no
+``Server`` or ``EnsemblerModel`` wrapper), in two arms:
 
-* **looped** — the reference Python loop over N independent graphs;
-* **batched** — the fused :class:`~repro.nn.batched.StackedBodies` pass.
+* **looped** — a raw Python loop ``[body(x) for body in bodies]``;
+* **batched** — one eval-mode :class:`~repro.nn.batched.StackedBodies`
+  pass over the same bodies.
 
 Run as pytest (``pytest benchmarks/bench_ensemble.py -s``) or directly
 (``python benchmarks/bench_ensemble.py``).  Either way a record is appended

@@ -15,8 +15,9 @@ rendered API text as a workflow artifact):
 * **link check** — every *relative* markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to an existing file (external http(s) links
   are not fetched).  Dead links fail the build.
-* **attribute names** — every backticked `` `ServingConfig.<name>` `` or
-  `` `ServiceStats.<name>` `` in the same files must name a real
+* **attribute names** — every backticked `` `ServingConfig.<name>` ``,
+  `` `ServiceStats.<name>` ``, `` `EnsemblerConfig.<name>` `` or
+  `` `ExperimentPreset.<name>` `` in the same files must name a real
   attribute of that class, so a deleted config knob or stats counter
   cannot linger in the docs.
 
@@ -67,8 +68,10 @@ RENDER_DIR = REPO_ROOT / "build" / "docs-api"
 #: definitions resolve through the same pattern.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
-#: backticked ``ServingConfig.<name>`` / ``ServiceStats.<name>`` references.
-_ATTRIBUTE_REF = re.compile(r"`(ServingConfig|ServiceStats)\.([A-Za-z_]\w*)")
+#: backticked ``<Class>.<name>`` references to the checked config/stats classes.
+_ATTRIBUTE_REF = re.compile(
+    r"`(ServingConfig|ServiceStats|EnsemblerConfig|ExperimentPreset)"
+    r"\.([A-Za-z_]\w*)")
 
 
 def render_api_docs(render_dir: Path = RENDER_DIR) -> list[str]:
@@ -140,8 +143,12 @@ def check_links() -> list[str]:
 def stale_attribute_refs(text: str) -> list[str]:
     """The ``Class.name`` references in ``text`` that name no attribute
     (dataclass field, property or method) of ``Class``."""
+    from repro.core.training import EnsemblerConfig
+    from repro.experiments.common import ExperimentPreset
     from repro.serving.service import ServiceStats, ServingConfig
-    classes = {"ServingConfig": ServingConfig, "ServiceStats": ServiceStats}
+    classes = {"ServingConfig": ServingConfig, "ServiceStats": ServiceStats,
+               "EnsemblerConfig": EnsemblerConfig,
+               "ExperimentPreset": ExperimentPreset}
     stale = []
     for class_name, attr in _ATTRIBUTE_REF.findall(text):
         cls = classes[class_name]
@@ -172,8 +179,8 @@ def main() -> int:
             print(f"  - {failure}")
         return 1
     print("\ndocs check ok: serving and privacy APIs render with full "
-          "docstring coverage; all relative links and ServingConfig/"
-          "ServiceStats names in README.md and docs/ resolve")
+          "docstring coverage; all relative links and config/stats "
+          "attribute names in README.md and docs/ resolve")
     return 0
 
 

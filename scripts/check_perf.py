@@ -4,9 +4,10 @@
 Two gates, both intended for CI and pre-merge checks (the full trajectory
 benchmarks live in ``benchmarks/``):
 
-* **ensemble** — the batched N-body pass must not be slower than looped
-  ``server_outputs`` for any N >= 5 (the regime the Ensembler protocol
-  actually serves; the paper runs N=10), with outputs matching to 1e-5.
+* **ensemble** — one fused ``StackedBodies`` pass over N bodies must not
+  be slower than a raw ``[body(x) for body in bodies]`` loop for any
+  N >= 5 (the regime the Ensembler protocol actually serves; the paper
+  runs N=10), with outputs matching to 1e-5.
 * **kernel_fusion** — the eval-time conv←BN fold must pay for itself on
   the BN-bound pointwise workload: folded ticks >= 1.15x the throughput
   of unfolded ticks at N=8 (same serve path otherwise), zero-copy frame

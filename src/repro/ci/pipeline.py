@@ -13,19 +13,16 @@ tick and decodes the returned feature maps client-side.  Multi-client
 deployments that want cross-client batch coalescing use
 :class:`~repro.serving.service.InferenceService` directly.
 
-Server execution backends
--------------------------
-The server's mandatory "run every body" step supports two backends:
-
-* ``"batched"`` (default) — the bodies are compiled once into a
-  :class:`~repro.nn.batched.StackedBodies` and each request runs them as a
-  single fused NumPy pass; this is the serving-throughput path.  Servers
-  with a single body, or with architecturally heterogeneous bodies that
-  cannot be stacked, fall back to the looped backend automatically.
-* ``"looped"`` — a Python loop over the bodies; the reference path.
-
-Both backends produce the same per-body outputs (≤1e-5), so the wire
-protocol and the client are backend-agnostic.
+Server execution
+----------------
+The server's mandatory "run every body" step goes through
+:class:`~repro.nn.batched.BodyEnsemble`: the bodies are compiled once into
+a fused :class:`~repro.nn.batched.StackedBodies` pass (the
+serving-throughput path), and a single body, an ensemble that cannot be
+stacked, or any body in train mode runs as a per-body loop.
+``Server(backend="looped")`` forces the loop; it is the reference oracle of
+the parity tests.  Both paths produce the same per-body outputs (≤1e-5),
+so the wire protocol and the client do not depend on which one served.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import numpy as np
 
 from repro import nn
 from repro.ci.channel import Channel
-from repro.nn.batched import StackedBodies
+from repro.nn.batched import BodyEnsemble
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -71,12 +68,11 @@ class Server:
     """Cloud role: holds one or more bodies ``M_s^i`` and runs them all.
 
     The server is semi-honest: it follows the protocol but may retain the
-    uploaded features for a model-inversion attack.  With the default
-    ``"batched"`` backend, multi-body servers execute all bodies as one
-    fused :class:`~repro.nn.batched.StackedBodies` pass; heterogeneous or
-    single-body deployments run the looped reference path.  The stacked
-    engine snapshots the bodies' weights at construction — call
-    :meth:`sync` after mutating them.
+    uploaded features for a model-inversion attack.  The bodies run
+    through a :class:`~repro.nn.batched.BodyEnsemble`; ``backend`` reports
+    whether the full set resolved to the fused pass (``"batched"``) or the
+    loop (``"looped"``).  The fused engines snapshot the bodies' weights —
+    call :meth:`sync` after mutating them.
     """
 
     def __init__(self, bodies: list[nn.Module], backend: str = "batched",
@@ -87,41 +83,14 @@ class Server:
             raise ValueError("backend must be 'batched' or 'looped'")
         self.bodies = bodies
         self.observed_features: list[np.ndarray] = []
-        self.backend = "looped"
-        self.fold_bn = fold_bn
-        self._stacked: StackedBodies | None = None
-        # Lazily-built fused engines over body *prefixes* (bodies[:k]) —
-        # the overload controller's shrunken-ensemble passes reuse them.
-        self._subset_cache: dict[int, StackedBodies | None] = {}
-        # True when a train-mode looped pass has mutated the bodies (BN
-        # running statistics) since the mirror last synced.
-        self._stacked_stale = False
-        if backend == "batched" and len(bodies) > 1:
-            # None for heterogeneous bodies: serve them with the loop.
-            self._stacked = StackedBodies.try_build(bodies, fold_bn=fold_bn)
-            if self._stacked is not None:
-                self.backend = "batched"
+        self._ensemble = BodyEnsemble(bodies, fold_bn=fold_bn,
+                                      fused=backend == "batched")
+        self.backend = "batched" if self._ensemble.stacked else "looped"
 
     def sync(self) -> "Server":
-        """Refresh the stacked engine after the bodies' weights changed."""
-        self._subset_cache.clear()  # subset mirrors rebuild from fresh weights
-        if self._stacked is not None:
-            self._stacked.sync_from(self.bodies)
-            self._stacked.train(self.bodies[0].training)
-            self._stacked_stale = False
+        """Refresh the fused engines after the bodies' weights changed."""
+        self._ensemble.sync()
         return self
-
-    def _subset_engine(self, k: int) -> StackedBodies | None:
-        """The fused engine over ``bodies[:k]``, built lazily (or ``None``
-        when the prefix cannot be stacked and must run the loop)."""
-        if self.backend != "batched" or k < 2:
-            return None
-        if self._stacked_stale:
-            self.sync()  # refresh mirrors before building from the bodies
-        if k not in self._subset_cache:
-            self._subset_cache[k] = StackedBodies.try_build(
-                self.bodies[:k], fold_bn=self.fold_bn)
-        return self._subset_cache[k]
 
     def compute(self, features: np.ndarray, record: bool = False,
                 num_bodies: int | None = None) -> list[np.ndarray]:
@@ -144,32 +113,8 @@ class Server:
             # reused, while a retained feature map must stay immutable.
             self.observed_features.append(np.array(features, copy=True))
         with no_grad():
-            x = Tensor(features)
-            # The fused engine serves eval-mode bodies only; any train-mode
-            # body sends the whole request down the loop so BN running
-            # statistics update in place (the stacked mirror must never
-            # hold the only copy).  Mode is read off the *bodies* —
-            # ``body.train()`` called directly (without sync()) must not
-            # leave stale eval-mode semantics being served from the mirror.
-            any_training = any(body.training for body in self.bodies)
-            if any_training:
-                # The looped train-mode forward mutates the bodies in
-                # place, so the mirror (if any) no longer matches them.
-                self._stacked_stale = True
-                return [body(x).data for body in self.bodies[:k]]
-            engine = (self._stacked if k == total and self._stacked is not None
-                      else self._subset_engine(k))
-            if engine is not None:
-                if self._stacked_stale:
-                    # A train-mode pass moved the bodies' BN statistics
-                    # since the last sync; refresh before serving fused.
-                    self.sync()
-                if engine.training:
-                    engine.eval()
-                stacked_out = engine(x).data
-                return [np.ascontiguousarray(stacked_out[i])
-                        for i in range(k)]
-            return [body(x).data for body in self.bodies[:k]]
+            outputs = self._ensemble(Tensor(features), range(k))
+        return [np.ascontiguousarray(out.data) for out in outputs]
 
 
 class _SingleSessionPipeline:
@@ -220,9 +165,9 @@ class StandardCIPipeline(_SingleSessionPipeline):
 class EnsembleCIPipeline(_SingleSessionPipeline):
     """Ensembler inference: one upload, N bodies, N downloads, private select.
 
-    The server side runs on whichever backend its :class:`Server` resolved
-    (fused batched pass by default); the protocol — byte counts, message
-    counts, returned tensors — is identical either way.
+    The server side runs fused or looped as its :class:`Server` resolved;
+    the protocol — byte counts, message counts, returned tensors — is
+    identical either way.
     """
 
     def __init__(self, client: Client, server: Server, channel: Channel | None = None):

@@ -36,12 +36,11 @@ from repro.data.datasets import ArrayDataset, DataLoader
 from repro.models.resnet import ResNet, ResNetConfig, ResNetHead, ResNetTail
 from repro.nn import functional as F
 from repro.nn.batched import (
+    BodyEnsemble,
     StackedBatchNorm2d,
-    StackedBodies,
     UnstackableError,
     batched_cross_entropy,
     stack_modules,
-    unbind,
 )
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.config import FrozenConfig
@@ -107,7 +106,6 @@ class EnsemblerConfig(FrozenConfig):
     regularizer: str = "standardized_cosine"
     stage1: TrainingConfig = TrainingConfig()
     stage3: TrainingConfig = TrainingConfig()
-    backend: str = "batched"
 
     def __post_init__(self):
         if not 1 <= self.num_active <= self.num_nets:
@@ -118,8 +116,6 @@ class EnsemblerConfig(FrozenConfig):
             raise ValueError("lambda_reg must be non-negative")
         if self.regularizer not in ("cosine", "standardized_cosine"):
             raise ValueError("regularizer must be 'cosine' or 'standardized_cosine'")
-        if self.backend not in ("batched", "looped"):
-            raise ValueError("backend must be 'batched' or 'looped'")
 
 
 def run_sgd(
@@ -281,14 +277,14 @@ class EnsemblerTrainer:
                                                            list[list[float]]]:
         """Train the N distinct networks of Eq. 2.
 
-        With the batched backend the N independent trainings run as one
-        fused multi-net pass (:func:`run_stacked_sgd`): the N parameter sets
-        stack along the ensemble axis, each net keeps its own batch-shuffle
-        stream, loss and optimiser state, and one elementwise update per
-        step advances all N.  The RNG spawn order (net init, noise map, SGD
-        stream, per net) matches the looped path exactly, so both backends
+        For N>1 the N independent trainings run as one fused multi-net
+        pass (:func:`run_stacked_sgd`): the N parameter sets stack along
+        the ensemble axis, each net keeps its own batch-shuffle stream,
+        loss and optimiser state, and one elementwise update per step
+        advances all N.  The RNG spawn order (net init, noise map, SGD
+        stream, per net) matches the per-net loop exactly, so both paths
         consume identical random streams; ensembles that cannot be stacked
-        (e.g. DR-N's dropout noise) fall back to the per-net loop.
+        (e.g. DR-N's dropout noise) fall back to that loop.
         """
         nets: list[ResNet] = []
         noises: list[nn.Module] = []
@@ -302,7 +298,7 @@ class EnsemblerTrainer:
             noises.append(noise)
             sgd_rngs.append(spawn_rng(self.rng))
         histories = None
-        if self.config.backend == "batched" and len(nets) > 1:
+        if len(nets) > 1:
             histories = self._train_stage1_fused(nets, noises, dataset, sgd_rngs)
         if histories is None:
             histories = []
@@ -354,15 +350,15 @@ class EnsemblerTrainer:
                             dataset: ArrayDataset) -> None:
         """Close the stage-1 BN train/eval gap for all N nets.
 
-        With the batched backend the N per-net replays collapse into one
-        fused :func:`~repro.nn.batched.stack_modules` pass (the N nets are
+        For N>1 the N per-net replays collapse into one fused
+        :func:`~repro.nn.batched.stack_modules` pass (the N nets are
         architecturally identical by construction); the recalibrated running
         statistics are written back into the loop-format nets, so downstream
         stages see no difference.  Falls back to per-net replays when the
         nets or their noise modules cannot be stacked (e.g. DR-N's dropout).
         """
         batch_size = self.config.stage1.batch_size
-        if self.config.backend == "batched" and len(nets) > 1:
+        if len(nets) > 1:
             try:
                 stacked_nets = stack_modules(nets)
                 stacked_noise = stack_modules(noises)
@@ -416,12 +412,10 @@ class EnsemblerTrainer:
         head.train()
         tail.train()
 
-        # Batched backend: evaluate the P frozen bodies as one fused pass per
-        # batch.  Their parameters are frozen, so gradients only flow through
+        # The P frozen bodies run as one fused pass per batch when they
+        # stack.  Their parameters are frozen, so gradients only flow through
         # the batched ops back into the new head — exactly as in the loop.
-        stacked_selected = None
-        if config.backend == "batched" and len(selected_bodies) > 1:
-            stacked_selected = StackedBodies.try_build(selected_bodies, eval_mode=True)
+        selected_ensemble = BodyEnsemble(selected_bodies)
 
         standardize = config.regularizer == "standardized_cosine"
 
@@ -444,10 +438,7 @@ class EnsemblerTrainer:
             x = Tensor(images)
             head_out = head(x)
             features = noise(head_out)
-            if stacked_selected is not None:
-                branch_outputs = unbind(stacked_selected(features))
-            else:
-                branch_outputs = [body(features) for body in selected_bodies]
+            branch_outputs = selected_ensemble(features)
             logits = tail(selector.apply_subset(branch_outputs))
             loss = F.cross_entropy(logits, labels)
             if config.lambda_reg > 0:
@@ -471,8 +462,7 @@ class EnsemblerTrainer:
         head.eval()
         tail.eval()
         logger.info("stage3 final loss %.4f", history[-1])
-        model = EnsemblerModel(head, bodies, tail, selector, noise,
-                               backend=config.backend)
+        model = EnsemblerModel(head, bodies, tail, selector, noise)
         return model, history
 
     # -- full pipeline -----------------------------------------------------

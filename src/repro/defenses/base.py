@@ -19,7 +19,7 @@ from repro.core.selector import Selector
 from repro.data.datasets import ArrayDataset
 from repro.metrics.accuracy import evaluate_accuracy
 from repro.models.resnet import ResNetConfig
-from repro.nn.batched import StackedBodies, unbind
+from repro.nn.batched import BodyEnsemble
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -46,12 +46,9 @@ class FittedDefense:
         if self.selector is not None and self.selector.num_nets != len(self.bodies):
             raise ValueError("selector arity must match the number of bodies")
         self.eval()
-        # Fuse the selected bodies into one batched pass for predict();
-        # heterogeneous ensembles silently keep the looped path.
-        self._stacked_active = None
-        if self.selector is not None and self.selector.num_active > 1:
-            self._stacked_active = StackedBodies.try_build(
-                [self.bodies[i] for i in self.selector.indices], eval_mode=True)
+        # predict() runs only the client's selected bodies.
+        self._selected = (None if self.selector is None else BodyEnsemble(
+            [self.bodies[i] for i in self.selector.indices]))
 
     def eval(self) -> "FittedDefense":
         for module in (self.head, self.tail, self.noise, *self.bodies):
@@ -73,11 +70,8 @@ class FittedDefense:
             features = self.noise(self.head(Tensor(images)))
             if self.selector is None:
                 logits = self.tail(self.bodies[0](features))
-            elif self._stacked_active is not None:
-                outputs = unbind(self._stacked_active(features))
-                logits = self.tail(self.selector.apply_subset(outputs))
             else:
-                outputs = [self.bodies[i](features) for i in self.selector.indices]
+                outputs = self._selected(features)
                 logits = self.tail(self.selector.apply_subset(outputs))
         return logits.data
 

@@ -38,7 +38,9 @@ and adds ``sync_from`` / ``unstack_to`` so loop-trained checkpoints and the
 stacked engine stay interchangeable.  All batched ops support autograd, so
 joint fine-tuning can run through the stacked graph as well; modules that
 cannot be stacked raise :class:`UnstackableError`, which callers use to fall
-back to the looped path.
+back to the looped path.  :class:`BodyEnsemble` is the one runner for "these
+bodies on this input": it picks fused or looped per call and keeps its
+engines in sync with the bodies.
 
 Registry extension points
 -------------------------
@@ -1013,3 +1015,69 @@ class StackedBodies(StackedModule):
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         self._unfolded_call(
             lambda: super(StackedBodies, self).load_state_dict(state))
+
+
+# ----------------------------------------------------------------------
+# BodyEnsemble — the one runner for "run these bodies on one input"
+# ----------------------------------------------------------------------
+
+
+class BodyEnsemble:
+    """Runs a list of bodies on one shared input: fused when it can,
+    looped when it must.
+
+    Every caller that evaluates several bodies on the same features (the
+    server's all-N pass, the client's selected-P pass, stage-3 training)
+    goes through here.  One eval-mode :class:`StackedBodies` engine is
+    cached per requested index tuple: the full set is built eagerly,
+    subsets on first use, and a single body or a set that cannot be
+    stacked caches ``None`` and loops.  ``fused=False`` never builds an
+    engine (the looped reference); ``fold_bn`` is passed to every engine.
+
+    The engines are mirrors, never the source of truth.  If any requested
+    body is in train mode the call loops, so BatchNorm running statistics
+    update in the bodies themselves, and the ensemble marks itself stale;
+    the next fused call then re-syncs every cached engine first.  Call
+    :meth:`sync` after changing weights outside a forward.
+    """
+
+    def __init__(self, bodies: list[Module], fold_bn: bool = True,
+                 fused: bool = True):
+        self.bodies = list(bodies)
+        self.fold_bn = fold_bn
+        self.fused = fused
+        self._all = tuple(range(len(self.bodies)))
+        self._engines: dict[tuple[int, ...], StackedBodies | None] = {}
+        self._stale = False
+        self.stacked = self._engine(self._all) is not None
+
+    def _engine(self, key: tuple[int, ...]) -> StackedBodies | None:
+        if key not in self._engines:
+            self._engines[key] = (
+                StackedBodies.try_build([self.bodies[i] for i in key],
+                                        eval_mode=True, fold_bn=self.fold_bn)
+                if self.fused and len(key) > 1 else None)
+        return self._engines[key]
+
+    def sync(self) -> "BodyEnsemble":
+        """Re-sync every cached engine from the bodies."""
+        for key, engine in self._engines.items():
+            if engine is not None:
+                engine.sync_from([self.bodies[i] for i in key])
+        self._stale = False
+        return self
+
+    def __call__(self, features: Tensor,
+                 indices: Iterable[int] | None = None) -> list[Tensor]:
+        """The outputs of the bodies at ``indices`` (default: all), in order."""
+        key = self._all if indices is None else tuple(indices)
+        members = [self.bodies[i] for i in key]
+        if any(body.training for body in members):
+            self._stale = True
+            return [body(features) for body in members]
+        if self._stale:
+            self.sync()
+        engine = self._engine(key)
+        if engine is None:
+            return [body(features) for body in members]
+        return unbind(engine(features))

@@ -13,10 +13,12 @@ from repro.ci import (
     StandardCIPipeline,
     payload_nbytes,
 )
+from repro.core import EnsemblerModel
 from repro.core.noise import FixedGaussianNoise
 from repro.core.selector import Selector
 from repro.models import ResNet, ResNetConfig, SplitModel
 from repro.models.resnet import ResNetHead, ResNetTail
+from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import new_rng
 
 rng = np.random.default_rng(41)
@@ -112,87 +114,158 @@ class TestRoles:
         """Regression: ``body.train()`` without ``sync()`` must not serve
         stale eval-mode semantics from the batched mirror — train-mode
         detection reads the bodies, not the mirror's flag."""
-        config = tiny_config()
-        bodies = [ResNet(config, rng=new_rng(i)).body for i in range(3)]
-        for body in bodies:
-            body.eval()
-        server = Server(bodies)
-        assert server.backend == "batched"
-        for body in bodies:
-            body.train()  # direct mode flip, deliberately no server.sync()
-        features = rng.random((4, 8, 8, 8)).astype(np.float32)
-
-        def first_bn(body):
-            return getattr(getattr(body.stages, "0"), "0").bn1
-
-        running_means = [np.array(first_bn(body).running_mean, copy=True)
-                         for body in bodies]
-        outputs = server.compute(features)
-        # the looped train-mode path served: BN running stats moved in place
-        for body, old_mean in zip(bodies, running_means):
-            assert np.abs(first_bn(body).running_mean - old_mean).max() > 0
-        # and the outputs match a reference looped server in train mode
-        reference = Server([ResNet(config, rng=new_rng(i)).body.train()
-                            for i in range(3)], backend="looped")
-        expected = reference.compute(features)
-        for got, want in zip(outputs, expected):
-            np.testing.assert_allclose(got, want, atol=1e-5)
+        direct_train_scenario(server_runner)
 
     def test_eval_after_direct_train_uses_batched_path_again(self):
-        config = tiny_config()
-        bodies = [ResNet(config, rng=new_rng(i)).body for i in range(3)]
-        server = Server(bodies)
-        for body in bodies:
-            body.train()
-        server.sync()
-        for body in bodies:
-            body.eval()  # again direct, no sync
-        features = rng.random((2, 8, 8, 8)).astype(np.float32)
-        outputs = server.compute(features)
-        looped = Server([b for b in bodies], backend="looped")
-        for got, want in zip(outputs, looped.compute(features)):
-            np.testing.assert_allclose(got, want, atol=1e-5)
+        eval_after_direct_train_scenario(server_runner)
 
     def test_train_pass_then_eval_resyncs_stale_mirror(self):
         """Regression: a train-mode looped pass moves the bodies' BN running
         statistics; the next eval-mode fused serve must not answer from the
         mirror's pre-training statistics."""
-        config = tiny_config()
-        bodies = [ResNet(config, rng=new_rng(i)).body for i in range(3)]
-        for body in bodies:
-            body.eval()
-        server = Server(bodies)  # mirror synced to pre-training stats
-        features = rng.random((4, 8, 8, 8)).astype(np.float32)
-        for body in bodies:
-            body.train()
-        server.compute(features)  # looped train pass mutates BN stats
-        for body in bodies:
-            body.eval()  # direct, deliberately no server.sync()
-        outputs = server.compute(features)
-        reference = Server(bodies, backend="looped").compute(features)
-        for got, want in zip(outputs, reference):
-            np.testing.assert_allclose(got, want, atol=1e-5)
+        train_pass_then_eval_scenario(server_runner)
 
     def test_mixed_mode_ensemble_takes_the_loop(self):
         """One train-mode body must route the whole request down the loop —
         its BN statistics update in place, never the eval mirror's."""
-        config = tiny_config()
-        bodies = [ResNet(config, rng=new_rng(i)).body for i in range(3)]
+        mixed_mode_scenario(server_runner)
+
+    @pytest.mark.parametrize("scenario", [
+        "direct_train", "eval_after_direct_train", "train_pass_then_eval",
+        "mixed_mode"])
+    def test_ensembler_model_follows_body_modes(self, scenario):
+        """The same four mode/staleness regressions, driven through an
+        eval-mode ``EnsemblerModel.server_outputs`` instead of a Server."""
+        MODE_SCENARIOS[scenario](model_runner)
+
+    def test_shrunken_ensemble_resyncs_after_train_pass(self):
+        """A cached ``num_bodies=2`` prefix engine must re-sync after a
+        train-mode pass moved the bodies' BN statistics, even when the
+        bodies return to eval directly (no ``sync()``)."""
+        bodies = make_bodies(3)
+        server = Server(bodies)
+        features = rng.random((4, 8, 8, 8)).astype(np.float32)
+        server.compute(features, num_bodies=2)  # caches the prefix engine
+        for body in bodies:
+            body.train()
+        server.compute(features)  # looped train pass mutates BN stats
         for body in bodies:
             body.eval()
-        server = Server(bodies)
-        bodies[1].train()  # bodies[0] still eval: the old first-body check lied
-
-        def first_bn(body):
-            return getattr(getattr(body.stages, "0"), "0").bn1
-
-        before = np.array(first_bn(bodies[1]).running_mean, copy=True)
-        features = rng.random((4, 8, 8, 8)).astype(np.float32)
-        outputs = server.compute(features)
-        assert np.abs(first_bn(bodies[1]).running_mean - before).max() > 0
-        reference = Server(bodies, backend="looped").compute(features)
+        outputs = server.compute(features, num_bodies=2)
+        reference = Server(bodies[:2], backend="looped").compute(features)
+        assert len(outputs) == 2
         for got, want in zip(outputs, reference):
             np.testing.assert_allclose(got, want, atol=1e-5)
+
+
+# -- mode/staleness regressions, shared by every N-body caller ----------
+#
+# A *runner* builds one caller over the given bodies and returns
+# ``(run, sync)``: ``run(features) -> list[np.ndarray]`` is one pass over
+# all bodies, ``sync()`` the caller's explicit re-sync point.
+
+
+def make_bodies(count=3):
+    return [ResNet(tiny_config(), rng=new_rng(i)).body for i in range(count)]
+
+
+def first_bn(body):
+    return getattr(getattr(body.stages, "0"), "0").bn1
+
+
+def server_runner(bodies):
+    server = Server(bodies)
+    return server.compute, server.sync
+
+
+def model_runner(bodies):
+    """An eval-mode EnsemblerModel; its re-sync point is a state round trip."""
+    config = tiny_config()
+    model = EnsemblerModel(ResNetHead(config, new_rng(10)), bodies,
+                           ResNetTail(config, new_rng(11), in_multiplier=2),
+                           Selector(len(bodies), (0, 1)), nn.Identity()).eval()
+
+    def run(features):
+        with no_grad():
+            return [out.data for out in model.server_outputs(Tensor(features))]
+
+    return run, lambda: model.load_state_dict(model.state_dict())
+
+
+def looped_reference(bodies, features):
+    return Server(bodies, backend="looped").compute(features)
+
+
+def assert_outputs_match(outputs, reference):
+    assert len(outputs) == len(reference)
+    for got, want in zip(outputs, reference):
+        np.testing.assert_allclose(got, want, atol=1e-5)
+
+
+def direct_train_scenario(runner):
+    bodies = make_bodies()
+    for body in bodies:
+        body.eval()
+    run, _ = runner(bodies)
+    for body in bodies:
+        body.train()  # direct mode flip, deliberately no sync
+    features = rng.random((4, 8, 8, 8)).astype(np.float32)
+    running_means = [np.array(first_bn(body).running_mean, copy=True)
+                     for body in bodies]
+    outputs = run(features)
+    # the looped train-mode path served: BN running stats moved in place
+    for body, old_mean in zip(bodies, running_means):
+        assert np.abs(first_bn(body).running_mean - old_mean).max() > 0
+    # and the outputs match a reference looped server in train mode
+    fresh = [body.train() for body in make_bodies()]
+    assert_outputs_match(outputs, looped_reference(fresh, features))
+
+
+def eval_after_direct_train_scenario(runner):
+    bodies = make_bodies()
+    run, sync = runner(bodies)
+    for body in bodies:
+        body.train()
+    sync()
+    for body in bodies:
+        body.eval()  # again direct, no sync
+    features = rng.random((2, 8, 8, 8)).astype(np.float32)
+    assert_outputs_match(run(features), looped_reference(bodies, features))
+
+
+def train_pass_then_eval_scenario(runner):
+    bodies = make_bodies()
+    for body in bodies:
+        body.eval()
+    run, _ = runner(bodies)  # mirror synced to pre-training stats
+    features = rng.random((4, 8, 8, 8)).astype(np.float32)
+    for body in bodies:
+        body.train()
+    run(features)  # looped train pass mutates BN stats
+    for body in bodies:
+        body.eval()  # direct, deliberately no sync
+    assert_outputs_match(run(features), looped_reference(bodies, features))
+
+
+def mixed_mode_scenario(runner):
+    bodies = make_bodies()
+    for body in bodies:
+        body.eval()
+    run, _ = runner(bodies)
+    bodies[1].train()  # bodies[0] still eval: a first-body check would lie
+    before = np.array(first_bn(bodies[1]).running_mean, copy=True)
+    features = rng.random((4, 8, 8, 8)).astype(np.float32)
+    outputs = run(features)
+    assert np.abs(first_bn(bodies[1]).running_mean - before).max() > 0
+    assert_outputs_match(outputs, looped_reference(bodies, features))
+
+
+MODE_SCENARIOS = {
+    "direct_train": direct_train_scenario,
+    "eval_after_direct_train": eval_after_direct_train_scenario,
+    "train_pass_then_eval": train_pass_then_eval_scenario,
+    "mixed_mode": mixed_mode_scenario,
+}
 
 
 class TestStandardPipeline:
@@ -200,7 +273,6 @@ class TestStandardPipeline:
         model, client, server = make_single_deployment()
         pipeline = StandardCIPipeline(client, server)
         images = rng.random((4, 3, 16, 16)).astype(np.float32)
-        from repro.nn.tensor import Tensor, no_grad
         with no_grad():
             expected = model(Tensor(images)).data
         np.testing.assert_allclose(pipeline.infer(images), expected, rtol=1e-5)

@@ -45,11 +45,15 @@ def test_readme_documents_deadline_ignoring_max_batch():
 
 def test_config_and_stats_names_in_docs_exist():
     """Every backticked ``ServingConfig.<name>`` / ``ServiceStats.<name>``
-    in README/docs names a real attribute, and a deleted one is caught."""
+    / ``EnsemblerConfig.<name>`` / ``ExperimentPreset.<name>`` in
+    README/docs names a real attribute, and a deleted one is caught."""
     check_docs = load_check_docs()
     failures = check_docs.check_attribute_refs()
     assert not failures, "\n".join(failures)
     text = ("`ServingConfig.max_batch`, `ServiceStats.mean_coalesced`, "
-            "`ServingConfig.fast_path` and `ServiceStats.speculative_merges`")
+            "`EnsemblerConfig.num_nets`, `ExperimentPreset.ensembler_config`, "
+            "`ServingConfig.fast_path`, `ServiceStats.speculative_merges`, "
+            "`EnsemblerConfig.backend` and `ExperimentPreset.backend`")
     assert check_docs.stale_attribute_refs(text) == [
-        "ServingConfig.fast_path", "ServiceStats.speculative_merges"]
+        "ServingConfig.fast_path", "ServiceStats.speculative_merges",
+        "EnsemblerConfig.backend", "ExperimentPreset.backend"]

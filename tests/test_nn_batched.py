@@ -271,7 +271,9 @@ class TestStackedBodies:
 
 
 class TestEnsemblerModelBackend:
-    def make_model(self, num_nets=3, num_active=2, backend="batched", width=8):
+    """EnsemblerModel's fused passes against explicit per-body loops."""
+
+    def make_model(self, num_nets=3, num_active=2, width=8):
         config = body_config(width)
         nets = [ResNet(config, rng=new_rng(i)) for i in range(num_nets)]
         for net in nets:
@@ -280,45 +282,46 @@ class TestEnsemblerModelBackend:
         head = ResNetHead(config, new_rng(10))
         tail = ResNetTail(config, new_rng(11), in_multiplier=num_active)
         noise = FixedGaussianNoise(config.intermediate_shape(16), 0.1, new_rng(12))
-        model = EnsemblerModel(head, [n.body for n in nets], tail, selector, noise,
-                               backend=backend)
+        model = EnsemblerModel(head, [n.body for n in nets], tail, selector, noise)
         return model.eval()
 
-    def test_backend_resolution(self):
-        assert self.make_model(backend="batched").backend == "batched"
-        assert self.make_model(backend="looped").backend == "looped"
-        with pytest.raises(ValueError):
-            self.make_model(backend="gpu")
+    @staticmethod
+    def assert_matches_loop(outputs, bodies, features):
+        expected = [body(features) for body in bodies]
+        assert len(outputs) == len(expected)
+        for a, b in zip(outputs, expected):
+            assert np.abs(a.data - b.data).max() <= 1e-5
 
     @pytest.mark.parametrize("num_nets,width", EXPERIMENT_SHAPES)
     def test_server_outputs_backend_parity(self, num_nets, width):
         model = self.make_model(num_nets=num_nets, num_active=2, width=width)
         features = Tensor(features_for(width))
         with no_grad():
-            fused = model.server_outputs(features, backend="batched")
-            looped = model.server_outputs(features, backend="looped")
-        assert len(fused) == len(looped) == num_nets
-        for a, b in zip(fused, looped):
-            assert np.abs(a.data - b.data).max() <= 1e-5
+            self.assert_matches_loop(model.server_outputs(features),
+                                     model.bodies, features)
 
     def test_forward_backend_parity(self):
-        batched = self.make_model(backend="batched")
-        looped = self.make_model(backend="looped")
+        model = self.make_model()
         x = Tensor(rng.random((2, 3, 16, 16)).astype(np.float32))
         with no_grad():
-            np.testing.assert_allclose(batched(x).data, looped(x).data, atol=1e-5)
-            np.testing.assert_allclose(batched.forward_full_protocol(x).data,
-                                       looped.forward_full_protocol(x).data,
-                                       atol=1e-5)
+            features = model.intermediate(x)
+            selected = [model.bodies[i](features) for i in model.selector.indices]
+            expected = model.tail(model.selector.apply_subset(selected)).data
+            np.testing.assert_allclose(model(x).data, expected, atol=1e-5)
+            np.testing.assert_allclose(model.forward_full_protocol(x).data,
+                                       expected, atol=1e-5)
 
     def test_heterogeneous_bodies_fall_back_to_looped(self):
         config8, config16 = body_config(8), body_config(8)
-        bodies = [ResNet(config8, rng=new_rng(0)).body,
+        bodies = [ResNet(config8, rng=new_rng(0)).body.eval(),
                   nn.Sequential(nn.GlobalAvgPool2d())]
         selector = Selector(2, (0, 1))
         model = EnsemblerModel(ResNetHead(config16, new_rng(1)), bodies,
-                               nn.Identity(), selector, nn.Identity())
-        assert model.backend == "looped"
+                               nn.Identity(), selector, nn.Identity()).eval()
+        features = Tensor(features_for(8))
+        with no_grad():
+            self.assert_matches_loop(model.server_outputs(features), bodies,
+                                     features)
 
     def test_load_state_dict_resyncs_stacked(self):
         source = self.make_model()
@@ -328,15 +331,14 @@ class TestEnsemblerModelBackend:
         target.load_state_dict(source.state_dict())
         features = Tensor(features_for(8))
         with no_grad():
-            fused = target.server_outputs(features, backend="batched")
-            expected = source.server_outputs(features, backend="looped")
-        for a, b in zip(fused, expected):
-            assert np.abs(a.data - b.data).max() <= 1e-5
+            self.assert_matches_loop(target.server_outputs(features),
+                                     source.bodies, features)
 
     def test_train_mode_updates_bodies_then_eval_resyncs(self):
         """Train-mode forwards must update BN stats in the *bodies* (looped
         path), and eval() must refresh the stacked mirror from them, so the
-        backends stay interchangeable across a train/eval cycle."""
+        fused pass stays interchangeable with the loop across a train/eval
+        cycle."""
         model = self.make_model()
         x = Tensor(rng.random((4, 3, 16, 16)).astype(np.float32))
         before = [body.state_dict() for body in model.bodies]
@@ -349,17 +351,19 @@ class TestEnsemblerModelBackend:
         model.eval()
         feats = Tensor(features_for(8))
         with no_grad():
-            fused = model.server_outputs(feats, backend="batched")
-            looped = model.server_outputs(feats, backend="looped")
-        for a, b in zip(fused, looped):
-            assert np.abs(a.data - b.data).max() <= 1e-5
+            self.assert_matches_loop(model.server_outputs(feats), model.bodies,
+                                     feats)
 
     def test_state_dict_unchanged_by_backend(self):
         """The stacked mirror must not leak into checkpoints/parameters."""
-        batched = self.make_model(backend="batched")
-        looped = self.make_model(backend="looped")
-        assert set(batched.state_dict()) == set(looped.state_dict())
-        assert batched.num_parameters() == looped.num_parameters()
+        model = self.make_model()
+        children = {"head": model.head, "bodies": model.bodies,
+                    "tail": model.tail, "noise": model.noise}
+        expected = {f"{prefix}.{key}" for prefix, child in children.items()
+                    for key in child.state_dict()}
+        assert set(model.state_dict()) == expected
+        assert model.num_parameters() == sum(
+            child.num_parameters() for child in children.values())
 
 
 class TestServerBackend:

@@ -3,13 +3,14 @@
 The contract: ``run_stacked_sgd`` over E stacked members with per-member RNG
 streams matches E independent ``run_sgd`` runs on the same streams — same
 final parameters, same loss histories — for both optimisers, and the fused
-stage-1 path of ``EnsemblerTrainer`` matches the looped backend exactly.
+stage-1 path of ``EnsemblerTrainer`` matches its per-net fallback loop.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.core import training
 from repro.core.training import (
     EnsemblerConfig,
     EnsemblerTrainer,
@@ -21,7 +22,7 @@ from repro.data.datasets import ArrayDataset
 from repro.data.synthetic import cifar10_like
 from repro.models.resnet import ResNetConfig
 from repro.nn import functional as F
-from repro.nn.batched import batched_cross_entropy, stack_modules
+from repro.nn.batched import UnstackableError, batched_cross_entropy, stack_modules
 from repro.nn.tensor import Tensor
 from repro.utils.rng import new_rng
 
@@ -125,25 +126,30 @@ class TestRunStackedSgd:
 
 
 class TestFusedStage1:
-    def test_backends_agree(self):
-        """Fused multi-net stage-1 == looped stage-1 on identical streams."""
+    def test_backends_agree(self, monkeypatch):
+        """Fused multi-net stage-1 == the per-net loop on identical streams."""
         bundle = cifar10_like(size=8, train_per_class=4, test_per_class=2,
                               num_classes=4, rng=new_rng(1))
         model_config = ResNetConfig(num_classes=4, stem_channels=8,
                                     stage_channels=(8, 16), blocks_per_stage=(1, 1))
         train = TrainingConfig(epochs=2, batch_size=8, lr=0.05)
-        states = {}
-        histories = {}
-        for backend in ("looped", "batched"):
-            config = EnsemblerConfig(num_nets=3, num_active=2, stage1=train,
-                                     stage3=train, backend=backend)
+        config = EnsemblerConfig(num_nets=3, num_active=2, stage1=train, stage3=train)
+
+        def run_stage1():
             trainer = EnsemblerTrainer(model_config, 8, config, rng=new_rng(42))
             nets, _, hist = trainer.train_stage1(bundle.train)
-            states[backend] = [net.state_dict() for net in nets]
-            histories[backend] = hist
-        np.testing.assert_allclose(np.array(histories["batched"]),
-                                   np.array(histories["looped"]), atol=1e-4)
-        for looped_net, fused_net in zip(states["looped"], states["batched"]):
+            return [net.state_dict() for net in nets], hist
+
+        fused_states, fused_hist = run_stage1()
+
+        def unstackable(modules):
+            raise UnstackableError("forced per-net fallback")
+
+        monkeypatch.setattr(training, "stack_modules", unstackable)
+        looped_states, looped_hist = run_stage1()
+        np.testing.assert_allclose(np.array(fused_hist), np.array(looped_hist),
+                                   atol=1e-4)
+        for looped_net, fused_net in zip(looped_states, fused_states):
             for name, value in looped_net.items():
                 np.testing.assert_allclose(fused_net[name], value, atol=1e-4,
                                            err_msg=f"stage-1 divergence in {name}")
@@ -156,7 +162,7 @@ class TestFusedStage1:
                                     stage_channels=(8, 16), blocks_per_stage=(1, 1))
         train = TrainingConfig(epochs=1, batch_size=8, lr=0.05)
         config = EnsemblerConfig(num_nets=2, num_active=1, stage1=train,
-                                 stage3=train, backend="batched")
+                                 stage3=train)
         trainer = EnsemblerTrainer(
             model_config, 8, config, rng=new_rng(3),
             noise_factory=lambda shape, noise_rng: nn.Dropout(0.1, rng=noise_rng))
