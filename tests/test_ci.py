@@ -175,6 +175,7 @@ def first_bn(body):
 
 def server_runner(bodies):
     server = Server(bodies)
+    assert server.backend == "batched"  # a fused mirror exists to go stale
     return server.compute, server.sync
 
 
