@@ -15,12 +15,11 @@ and amortisation is a server-side property.
 
 A second, **scheduler-comparison** mode (``run_scheduler_benchmark``)
 exercises the pluggable-policy layer: simulated p95/p99 latency of
-fifo vs fair-share vs weighted vs deadline scheduling on a bursty
-arrival trace (virtual clock, deterministic), wall-clock fair-share vs
-FIFO serving throughput on the same request wave, the per-tenant QoS
-layer (contended 2:1 weighted shares plus simulated per-tenant tails on
-a 2:1 offered trace), and fp32 vs fp16 vs int8 downlink bytes of the
-negotiated wire codecs.
+fifo vs fair vs deadline scheduling on a bursty arrival trace (virtual
+clock, deterministic), wall-clock fair vs FIFO serving throughput on the
+same request wave, the per-tenant QoS layer (contended 2:1 weighted
+shares plus simulated per-tenant tails on a 2:1 offered trace), and fp32
+vs fp16 vs int8 downlink bytes of the negotiated wire codecs.
 
 A fourth, **fleet-chaos** mode (``run_fleet_chaos_benchmark``) replays
 one bursty trace twice over a 4-replica :class:`ServiceFleet` — fault
@@ -193,8 +192,7 @@ def _simulated_tail_latency(bodies, features, num_sessions) -> list[dict]:
                          burst_gap_s=0.08, deadline_s=0.04)
     policies = {
         "fifo": "fifo",
-        "fair": "fair",
-        "weighted": "weighted",  # equal weights here: the fair baseline
+        "fair": "fair",  # the weighted scheduler at equal weights
         "deadline": DeadlineScheduler(pass_overhead_s=cost.pass_overhead_s,
                                       sample_cost_s=cost.per_sample_s,
                                       max_group_samples=16),
@@ -218,7 +216,7 @@ def _simulated_tail_latency(bodies, features, num_sessions) -> list[dict]:
 
 def _wall_clock_throughput(bodies, features, num_sessions,
                            requests_per_session, repeats) -> dict:
-    """Real serve time of the same wave under FIFO vs fair-share."""
+    """Real serve time of the same wave under FIFO vs fair."""
     def serve(scheduler):
         service, sessions = _make_policy_service(bodies, scheduler,
                                                  num_sessions)

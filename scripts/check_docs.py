@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs smoke check: render the serving API and verify links and names.
 
-Three checks, all intended for CI (which also uploads ``docs/`` plus the
+Four checks, all intended for CI (which also uploads ``docs/`` plus the
 rendered API text as a workflow artifact):
 
 * **pydoc render** — import every ``repro.serving``, ``repro.privacy``
@@ -20,6 +20,10 @@ rendered API text as a workflow artifact):
   `` `ExperimentPreset.<name>` `` in the same files must name a real
   attribute of that class, so a deleted config knob or stats counter
   cannot linger in the docs.
+* **scheduler names** — every ``scheduler="<name>"`` in the same files
+  must be a ``SCHEDULERS`` registry key, and every backticked
+  `` `<Name>Scheduler` `` must be exported by ``repro.serving``, so a
+  deleted policy or alias cannot linger in the docs either.
 
 Usage: ``python scripts/check_docs.py``
 """
@@ -72,6 +76,11 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _ATTRIBUTE_REF = re.compile(
     r"`(ServingConfig|ServiceStats|EnsemblerConfig|ExperimentPreset)"
     r"\.([A-Za-z_]\w*)")
+
+#: ``scheduler="<name>"`` selections and backticked ``<Name>Scheduler``
+#: class names.
+_SCHEDULER_NAME = re.compile(r'scheduler="([^"]*)"')
+_SCHEDULER_CLASS = re.compile(r"`(\w*Scheduler)`")
 
 
 def render_api_docs(render_dir: Path = RENDER_DIR) -> list[str]:
@@ -170,17 +179,42 @@ def check_attribute_refs() -> list[str]:
     return failures
 
 
+def stale_scheduler_refs(text: str) -> list[str]:
+    """The scheduler names in ``text`` that are not registered
+    (``scheduler="<name>"``) or not exported (`` `<Name>Scheduler` ``)."""
+    import repro.serving as serving
+    stale = [f'scheduler="{name}"' for name in _SCHEDULER_NAME.findall(text)
+             if name not in serving.SCHEDULERS]
+    stale += [f"`{name}`" for name in _SCHEDULER_CLASS.findall(text)
+              if name not in serving.__all__]
+    return stale
+
+
+def check_scheduler_refs() -> list[str]:
+    """Scheduler names in README/docs must exist; returns failures."""
+    failures = []
+    for doc in _iter_doc_files():
+        if not doc.exists():
+            continue  # reported by check_links
+        for ref in stale_scheduler_refs(doc.read_text()):
+            failures.append(f"{doc.relative_to(REPO_ROOT)}: {ref} is not a "
+                            f"registered or exported scheduler")
+    return failures
+
+
 def main() -> int:
     failures = (render_api_docs() + check_public_docstrings()
-                + check_links() + check_attribute_refs())
+                + check_links() + check_attribute_refs()
+                + check_scheduler_refs())
     if failures:
         print("\nDOCS CHECK FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
     print("\ndocs check ok: serving and privacy APIs render with full "
-          "docstring coverage; all relative links and config/stats "
-          "attribute names in README.md and docs/ resolve")
+          "docstring coverage; all relative links, config/stats "
+          "attribute names and scheduler names in README.md and docs/ "
+          "resolve")
     return 0
 
 

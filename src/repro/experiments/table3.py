@@ -1,18 +1,13 @@
 """Table III — inference latency of Standard CI, Ensembler and STAMP.
 
 Runs the calibrated latency model (see :mod:`repro.latency`) on the actual
-FLOP counts and wire sizes of the paper-scale ResNet-18 split (batch 128),
-and cross-checks the byte accounting against the live :mod:`repro.ci`
-protocol.
+FLOP counts and wire sizes of the paper-scale ResNet-18 split (batch 128).
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-from repro.ci.channel import Channel, payload_nbytes
 from repro.latency import LatencyBreakdown, LatencyModel, StampModel, workload_from_model
 from repro.experiments.reporting import f2, format_markdown_table
 from repro.models.resnet import ResNetConfig
@@ -44,21 +39,6 @@ class Table3Result:
 
         return format_markdown_table(
             headers, [row(self.standard), row(self.ensembler), row(self.stamp, dashes=True)])
-
-
-def simulate_channel_bytes(model_config: ResNetConfig, image_hw: int, batch_size: int,
-                           num_nets: int) -> tuple[int, int]:
-    """Exercise the live CI channel with correctly-shaped payloads and return
-    (uplink_bytes, downlink_bytes) for the ensemble protocol."""
-    channel = Channel()
-    inter_shape = model_config.intermediate_shape(image_hw)
-    features = np.zeros((batch_size, *inter_shape), dtype=np.float32)
-    channel.send_up(features)
-    returned = [np.zeros((batch_size, model_config.feature_dim), dtype=np.float32)
-                for _ in range(num_nets)]
-    for payload in returned:
-        channel.send_down(payload)
-    return channel.stats.uplink_bytes, channel.stats.downlink_bytes
 
 
 def run_table3(model_config: ResNetConfig | None = None, image_hw: int = 32,

@@ -804,7 +804,7 @@ class StackedSequential(StackedModule):
 
 
 # ----------------------------------------------------------------------
-# Eval-time BN fold + padding-safety analysis
+# Eval-time BN fold: conv→batch-norm pair discovery
 # ----------------------------------------------------------------------
 
 

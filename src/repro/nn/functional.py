@@ -118,20 +118,6 @@ def conv2d(
     return Tensor._make(out, parents, backward)
 
 
-def dilate2d(x: Tensor, stride: int) -> Tensor:
-    """Insert ``stride - 1`` zeros between spatial elements (for transposed conv)."""
-    if stride == 1:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, (h - 1) * stride + 1, (w - 1) * stride + 1), dtype=x.data.dtype)
-    out[:, :, ::stride, ::stride] = x.data
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g[:, :, ::stride, ::stride])
-
-    return Tensor._make(out, (x,), backward)
-
-
 def conv_transpose2d(
     x: Tensor,
     weight: Tensor,
@@ -394,22 +380,10 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return -picked.mean()
 
 
-def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood given log-probabilities."""
-    targets = np.asarray(targets)
-    n = log_probs.shape[0]
-    return -log_probs[np.arange(n), targets].mean()
-
-
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean squared error over all elements."""
     diff = prediction - target
     return (diff * diff).mean()
-
-
-def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error over all elements."""
-    return (prediction - target).abs().mean()
 
 
 def cosine_similarity(a: Tensor, b: Tensor, axis: int = 1, eps: float = 1e-8) -> Tensor:

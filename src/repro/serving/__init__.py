@@ -20,8 +20,8 @@ forward, so K waiting requests cost one fused pass instead of K.
   deterministic tick-based front-end with bounded-queue backpressure,
   per-session codec negotiation and cross-client batch coalescing;
 * :mod:`repro.serving.scheduler` — pluggable admission/grouping policies
-  (:class:`FifoScheduler`, :class:`FairShareScheduler`,
-  :class:`WeightedFairScheduler`, :class:`DeadlineScheduler`) the service
+  (:class:`FifoScheduler`, :class:`WeightedFairScheduler` — also
+  registered as ``"fair"`` — and :class:`DeadlineScheduler`) the service
   delegates group formation to;
 * :mod:`repro.serving.faults` — seeded deterministic fault injection
   (:class:`FaultInjector`) and client-side :class:`RetryPolicy` backoff;
@@ -119,7 +119,6 @@ from repro.serving.protocol import (
 from repro.serving.scheduler import (
     SCHEDULERS,
     DeadlineScheduler,
-    FairShareScheduler,
     FifoScheduler,
     Scheduler,
     WeightedFairScheduler,
@@ -170,7 +169,6 @@ __all__ = [
     "DeadlineExceededError",
     "DeadlineScheduler",
     "FailureDetector",
-    "FairShareScheduler",
     "FaultInjector",
     "FaultPlan",
     "FaultStats",

@@ -13,15 +13,14 @@ names:
   Deterministic, never reorders, but one chatty tenant can monopolise a
   tick (and, ensemble-inversion-wise, shape every batch the semi-honest
   server observes).
-* :class:`FairShareScheduler` — per-session round-robin queues: each tick
-  elects a leader session (rotating), then fills the group one request
-  per session per cycle, so K waiting tenants each land ~1/K of every
-  stacked pass regardless of how fast one of them submits.
-* :class:`WeightedFairScheduler` — deficit round-robin over payload
-  *samples*: sessions negotiate a ``weight`` at open time and receive
-  group slots proportional to it (a weight-2 tenant lands ~2x the samples
-  of a weight-1 tenant while both have backlog).  With all weights at 1
-  and single-sample requests it reduces to :class:`FairShareScheduler`.
+* :class:`WeightedFairScheduler` (``"weighted"``, alias ``"fair"``) —
+  deficit round-robin over payload *samples*: sessions negotiate a
+  ``weight`` at open time and receive group slots proportional to it (a
+  weight-2 tenant lands ~2x the samples of a weight-1 tenant while both
+  have backlog).  At the default weight 1 every backlogged tenant gets
+  an equal share however fast one of them submits: two continuously
+  backlogged single-sample tenants never drift more than ``max_batch``
+  served requests apart.  Weight-0 sessions are best-effort.
 * :class:`DeadlineScheduler` — earliest-deadline-first with *adaptive*
   group formation: requests carry ``arrival_time``/``deadline``, and a
   group grows by payload size under a latency budget (estimated pass cost
@@ -185,85 +184,6 @@ class FifoScheduler(Scheduler):
         return expired
 
 
-class FairShareScheduler(Scheduler):
-    """Per-session round-robin: no tenant can monopolise a stacked pass.
-
-    Each session gets its own FIFO queue.  A tick elects a leader (the
-    next session in rotation with work), then fills the group round-robin
-    — one request per session per cycle, skipping sessions whose head
-    request cannot coalesce with the leader's key — until ``max_batch``.
-    Within a session, order is still FIFO, so per-session response order
-    and byte accounting match the FIFO scheduler; only the interleaving
-    *across* sessions changes.  Fairness is privacy-relevant under
-    ensemble inversion: a tenant that can flood the queue can otherwise
-    dictate the batches a semi-honest server observes.
-    """
-
-    name = "fair"
-
-    def __init__(self):
-        self._queues: dict[int, collections.deque[UploadRequest]] = {}
-        self._rotation: collections.deque[int] = collections.deque()
-
-    @property
-    def pending(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    def enqueue(self, request: UploadRequest) -> None:
-        if request.session_id not in self._queues:
-            self._queues[request.session_id] = collections.deque()
-            self._rotation.append(request.session_id)
-        self._queues[request.session_id].append(request)
-
-    def next_group(self, max_batch: int, now: float = 0.0) -> list[UploadRequest]:
-        # Rotate to the next session with work; it leads this tick.
-        for _ in range(len(self._rotation)):
-            if self._queues[self._rotation[0]]:
-                break
-            self._rotation.rotate(-1)
-        else:
-            return []
-        leader = self._rotation[0]
-        group = [self._queues[leader].popleft()]
-        key = group[0].coalesce_key
-        self._rotation.rotate(-1)  # the leader goes to the back of the rotation
-        # Fill one-request-per-session cycles (the leader rejoins at the
-        # end of each cycle) until the cap or until a cycle adds nothing.
-        progressed = True
-        while len(group) < max_batch and progressed:
-            progressed = False
-            for session_id in tuple(self._rotation):
-                if len(group) >= max_batch:
-                    break
-                queue = self._queues[session_id]
-                if queue and queue[0].coalesce_key == key:
-                    group.append(queue.popleft())
-                    progressed = True
-        return group
-
-    def cancel_session(self, session_id: int) -> list[UploadRequest]:
-        queue = self._queues.pop(session_id, None)
-        if queue is None:
-            return []
-        try:
-            self._rotation.remove(session_id)
-        except ValueError:
-            pass
-        return list(queue)
-
-    def drop_expired(self, now: float) -> list[UploadRequest]:
-        expired: list[UploadRequest] = []
-        for queue in self._queues.values():
-            kept = [r for r in queue
-                    if r.deadline is None or r.deadline >= now]
-            if len(kept) != len(queue):
-                expired.extend(r for r in queue
-                               if r.deadline is not None and r.deadline < now)
-                queue.clear()
-                queue.extend(kept)
-        return expired
-
-
 class WeightedFairScheduler(Scheduler):
     """Deficit round-robin over payload samples: proportional tenant shares.
 
@@ -271,17 +191,16 @@ class WeightedFairScheduler(Scheduler):
     :meth:`set_session_weight`; unset sessions default to 1.0) and a
     *deficit* counter measured in samples.  The scheduler runs one
     *continuous* deficit-round-robin scan over the session rotation:
-    each visit a session's deficit grows by ``weight * quantum`` samples
-    and it pops queued requests while the deficit covers their batch
-    size, then the scan moves on.  A tick's group is simply the next
+    each visit a session's deficit grows by ``weight`` samples and it
+    pops queued requests while the deficit covers their batch size, then
+    the scan moves on.  A tick's group is simply the next
     ``max_batch``-sized chunk of that service sequence — the scan
     position (including a half-spent visit) carries over between ticks,
     so proportional shares hold *whatever the group size*: while two
     tenants both have backlog, their served-sample ratio converges to
     their weight ratio even at ``max_batch=1``.  With all weights at 1
-    and single-sample, shape-homogeneous requests the schedule is
-    identical to :class:`FairShareScheduler`'s one-request-per-session
-    cycles.
+    and single-sample, shape-homogeneous requests every visit serves one
+    request, so backlogged sessions alternate one request at a time.
 
     Zero-weight sessions form a *best-effort* class: they accrue no
     deficit and are skipped while any positive-weight session has work,
@@ -304,10 +223,7 @@ class WeightedFairScheduler(Scheduler):
 
     name = "weighted"
 
-    def __init__(self, *, quantum: float = 1.0):
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
-        self.quantum = quantum
+    def __init__(self):
         self._queues: dict[int, collections.deque[UploadRequest]] = {}
         self._rotation: collections.deque[int] = collections.deque()
         self._weights: dict[int, float] = {}
@@ -436,7 +352,7 @@ class WeightedFairScheduler(Scheduler):
                 if self._open_visit != session_id:
                     self._deficits[session_id] = (
                         self._deficits.get(session_id, 0.0)
-                        + eff_weight(session_id) * self.quantum)
+                        + eff_weight(session_id))
                     self._open_visit = session_id
                 served_any = False
                 while (queue and len(group) < max_batch
@@ -630,8 +546,9 @@ class DeadlineScheduler(Scheduler):
         return expired
 
 
-SCHEDULERS["fair-share"] = FairShareScheduler  # ergonomic aliases
-SCHEDULERS["weighted-fair"] = WeightedFairScheduler
+# "fair" is unit-weight deficit round-robin: the weighted scheduler with
+# every session at its default weight 1.0.
+SCHEDULERS["fair"] = WeightedFairScheduler
 
 
 def make_scheduler(spec: "str | Scheduler", **kwargs) -> Scheduler:

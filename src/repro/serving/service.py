@@ -16,7 +16,8 @@ Scheduling
 *Which* queued requests form a tick's group is delegated to a pluggable
 :class:`~repro.serving.scheduler.Scheduler` (``scheduler="fifo"`` by
 default — bit-exact with the historical drain-the-queue behaviour;
-``"fair"`` round-robins across sessions; ``"deadline"`` forms groups
+``"fair"`` is an alias of ``"weighted"``, deficit round-robin across
+sessions by negotiated weight; ``"deadline"`` forms groups
 adaptively by payload size and SLO slack).  Whatever the policy, a group
 always shares one per-sample feature shape/dtype, so byte accounting,
 record order and outputs stay reproducible per session.  The service
@@ -343,9 +344,11 @@ class InferenceService:
     service never sees a selector or a noise map: it forwards uploaded
     features through all N bodies and returns all N maps, per session.
 
-    ``scheduler`` accepts a registry name (``"fifo"``, ``"fair"``,
-    ``"weighted"``, ``"deadline"``) or a pre-built :class:`Scheduler`
-    instance for policies that need constructor arguments.
+    ``scheduler`` accepts a registry name (``"fifo"``, ``"weighted"`` or
+    its alias ``"fair"``, ``"deadline"``) or a pre-built
+    :class:`Scheduler` instance for policies that need constructor
+    arguments.  ``config.scheduler`` records the policy's own ``name``,
+    so ``scheduler="fair"`` reads back as ``"weighted"``.
     """
 
     def __init__(self, server: Server | list, max_batch: int = 8,

@@ -48,11 +48,6 @@ def spawn_rng(rng: np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(rng.integers(0, 2**63 - 1))
 
 
-def spawn_many(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``."""
-    return [spawn_rng(rng) for _ in range(count)]
-
-
 class RngMixin:
     """Mixin giving a class a lazily-created private generator.
 

@@ -57,3 +57,16 @@ def test_config_and_stats_names_in_docs_exist():
     assert check_docs.stale_attribute_refs(text) == [
         "ServingConfig.fast_path", "ServiceStats.speculative_merges",
         "EnsemblerConfig.backend", "ExperimentPreset.backend"]
+
+
+def test_scheduler_names_in_docs_exist():
+    """Every ``scheduler="<name>"`` in README/docs is a registry key and
+    every backticked ``<Name>Scheduler`` is exported by ``repro.serving``;
+    a retired alias or class is caught."""
+    check_docs = load_check_docs()
+    failures = check_docs.check_scheduler_refs()
+    assert not failures, "\n".join(failures)
+    text = ('`scheduler="fair"`, `scheduler="fair-share"`, '
+            '`WeightedFairScheduler` and `FairShareScheduler`')
+    assert check_docs.stale_scheduler_refs(text) == [
+        'scheduler="fair-share"', "`FairShareScheduler`"]

@@ -81,16 +81,6 @@ class TestTable3:
         for name in ("standard-ci", "ensembler", "stamp"):
             assert name in text
 
-    def test_channel_bytes_match_workload(self):
-        from repro.experiments.table3 import simulate_channel_bytes
-        from repro.latency import workload_from_model
-        from repro.models import ResNetConfig
-        config = ResNetConfig(num_classes=10)
-        up, down = simulate_channel_bytes(config, 32, 128, 10)
-        workload = workload_from_model(config, 32, 128)
-        assert up == workload.upload_bytes
-        assert down == 10 * workload.download_bytes_per_net
-
 
 @pytest.mark.slow
 class TestTable1And2:

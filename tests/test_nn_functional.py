@@ -114,12 +114,6 @@ class TestConvTranspose2d:
         with pytest.raises(ValueError):
             F.conv_transpose2d(x, w, stride=2, output_padding=2)
 
-    def test_dilate2d(self):
-        x = Tensor(np.arange(4, dtype=np.float64).reshape(1, 1, 2, 2), dtype=np.float64)
-        out = F.dilate2d(x, 2)
-        assert out.shape == (1, 1, 3, 3)
-        np.testing.assert_allclose(out.data[0, 0], [[0, 0, 1], [0, 0, 0], [2, 0, 3]])
-
 
 class TestPooling:
     def test_max_pool_values(self):
@@ -263,18 +257,14 @@ class TestActivationsLosses:
         logits = Tensor(rng.normal(size=(4, 6)), dtype=np.float64)
         targets = np.array([0, 5, 2, 3])
         ce = F.cross_entropy(logits, targets)
-        nll = F.nll_loss(F.log_softmax(logits, axis=1), targets)
-        assert float(ce.data) == pytest.approx(float(nll.data), rel=1e-6)
+        log_probs = F.log_softmax(logits, axis=1).data
+        nll = -log_probs[np.arange(4), targets].mean()
+        assert float(ce.data) == pytest.approx(nll, rel=1e-6)
 
     def test_mse_loss(self):
         a = Tensor(np.array([1.0, 2.0]), dtype=np.float64)
         b = Tensor(np.array([0.0, 0.0]), dtype=np.float64)
         assert float(F.mse_loss(a, b).data) == pytest.approx(2.5)
-
-    def test_l1_loss_grad(self):
-        a = rand_tensor(rng, 6)
-        b = Tensor(rng.normal(size=6), dtype=np.float64)
-        assert_gradients_close(lambda: F.l1_loss(a, b), [a], rtol=1e-3)
 
     def test_cosine_similarity_identical_is_one(self):
         a = Tensor(rng.normal(size=(3, 8)), dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Tests for the pluggable Scheduler API (fifo / fair-share / deadline)."""
+"""Tests for the pluggable Scheduler API (fifo / fair / deadline)."""
 
 import math
 
@@ -11,11 +11,11 @@ from repro.core.selector import Selector
 from repro.models.resnet import ResNet, ResNetConfig, ResNetHead, ResNetTail
 from repro.serving import (
     DeadlineScheduler,
-    FairShareScheduler,
     FifoScheduler,
     InferenceService,
     Scheduler,
     UploadRequest,
+    WeightedFairScheduler,
     make_scheduler,
 )
 from repro.utils.rng import new_rng
@@ -54,9 +54,11 @@ def request(session_id, request_id, batch=1, shape=(4, 2, 2), deadline=None,
 class TestRegistry:
     def test_by_name_and_alias(self):
         assert isinstance(make_scheduler("fifo"), FifoScheduler)
-        assert isinstance(make_scheduler("fair"), FairShareScheduler)
-        assert isinstance(make_scheduler("fair-share"), FairShareScheduler)
+        assert isinstance(make_scheduler("fair"), WeightedFairScheduler)
         assert isinstance(make_scheduler("deadline"), DeadlineScheduler)
+        for retired in ("fair-share", "weighted-fair"):
+            with pytest.raises(ValueError, match="unknown scheduler"):
+                make_scheduler(retired)
 
     def test_instance_passthrough(self):
         scheduler = DeadlineScheduler(target_latency_s=0.1)
@@ -74,9 +76,9 @@ class TestRegistry:
 
     def test_service_accepts_instance(self):
         service = InferenceService(Server(make_bodies(2)),
-                                   scheduler=FairShareScheduler())
-        assert service.config.scheduler == "fair"
-        assert isinstance(service.scheduler, FairShareScheduler)
+                                   scheduler=make_scheduler("fair"))
+        assert service.config.scheduler == "weighted"
+        assert isinstance(service.scheduler, WeightedFairScheduler)
 
     def test_custom_subclass_auto_registers_and_serves(self):
         """Subclassing with a fresh name is the extension point: the
@@ -173,7 +175,7 @@ class TestFifoEquivalence:
 
 class TestFairShare:
     def test_chatty_tenant_cannot_monopolise_a_tick(self):
-        scheduler = FairShareScheduler()
+        scheduler = make_scheduler("fair")
         for i in range(6):
             scheduler.enqueue(request(1, i))  # the chatty tenant
         scheduler.enqueue(request(2, 0))
@@ -183,25 +185,15 @@ class TestFairShare:
         # leader + one per waiting session before the leader's second
         assert served == [1, 2, 3, 1]
 
-    def test_leadership_rotates_across_ticks(self):
-        scheduler = FairShareScheduler()
-        for sid in (1, 2, 3):
-            scheduler.enqueue(request(sid, 0))
-            scheduler.enqueue(request(sid, 1))
-        first = scheduler.next_group(max_batch=3)
-        second = scheduler.next_group(max_batch=3)
-        assert [r.session_id for r in first] == [1, 2, 3]
-        assert [r.session_id for r in second] == [2, 3, 1]
-
     def test_per_session_order_is_fifo(self):
-        scheduler = FairShareScheduler()
+        scheduler = make_scheduler("fair")
         for i in range(3):
             scheduler.enqueue(request(7, i))
         group = scheduler.next_group(max_batch=8)
         assert [r.request_id for r in group] == [0, 1, 2]
 
     def test_key_mismatch_skips_session_not_tick(self):
-        scheduler = FairShareScheduler()
+        scheduler = make_scheduler("fair")
         scheduler.enqueue(request(1, 0))
         scheduler.enqueue(request(2, 0, shape=(4, 3, 3)))
         scheduler.enqueue(request(3, 0))
@@ -210,7 +202,7 @@ class TestFairShare:
         assert scheduler.pending == 1  # session 2 waits for its own tick
 
     def test_cancel_session_removes_rotation_entry(self):
-        scheduler = FairShareScheduler()
+        scheduler = make_scheduler("fair")
         scheduler.enqueue(request(1, 0))
         scheduler.enqueue(request(2, 0))
         assert len(scheduler.cancel_session(1)) == 1

@@ -15,7 +15,6 @@ from repro.utils.rng import (
     default_rng,
     new_rng,
     seed_everything,
-    spawn_many,
     spawn_rng,
 )
 from repro.utils.serialization import load_module, load_selector, save_module, save_selector
@@ -47,9 +46,6 @@ class TestRng:
         parent = new_rng(0)
         a, b = spawn_rng(parent), spawn_rng(parent)
         assert a.integers(0, 10**9) != b.integers(0, 10**9)
-
-    def test_spawn_many_count(self):
-        assert len(spawn_many(new_rng(0), 5)) == 5
 
     def test_rng_mixin_lazy_creation(self):
         class Thing(RngMixin):
